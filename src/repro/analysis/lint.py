@@ -20,8 +20,9 @@ The rule catalog:
     plus module-level ``_EMPTY_*`` constants are whitelisted — the arena
     is *where* allocations are supposed to live.  The known hot files
     (``kernels/``, ``sssp/fused.py``, ``shard/stepper.py``,
-    ``service/batch.py``) must each carry at least one marker, so the
-    contract cannot rot away by deleting comments.
+    ``service/batch.py``, ``dynamic/incremental.py``) must each carry at
+    least one marker, so the contract cannot rot away by deleting
+    comments.
 
 ``recorder-guard``
     Every ``.span(`` / ``.observe(`` / ``.inc(`` / ``.instant(`` /
@@ -135,7 +136,10 @@ _HOT_BANNED_NP = {"zeros", "empty", "full", "arange", "concatenate"}
 #: files whose hot loops carry the zero-allocation contract; each must
 #: contain at least one ``# repro: hot`` marker (directories: at least
 #: one marker across the directory's modules)
-HOT_FILES = ("kernels", "sssp/fused.py", "shard/stepper.py", "service/batch.py")
+HOT_FILES = (
+    "kernels", "sssp/fused.py", "shard/stepper.py", "service/batch.py",
+    "dynamic/incremental.py",
+)
 
 
 def _is_listy(node: ast.AST) -> bool:

@@ -28,10 +28,20 @@ import numpy as np
 
 from ..graphs.graph import Graph, build_canonical_csr
 
-__all__ = ["AppliedUpdates", "apply_edge_updates"]
+__all__ = ["AppliedUpdates", "InvalidWeightError", "apply_edge_updates"]
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 _EMPTY_W = np.empty(0, dtype=np.float64)
+
+
+class InvalidWeightError(ValueError):
+    """An insert or reweight carries a NaN, infinite, or negative weight.
+
+    Raised before the graph (or its epoch) changes.  ``NaN < 0`` is
+    False, so a sign check alone would let NaN through, and a NaN edge
+    compares false against every distance: repair would keep the cached
+    answer while a recompute disagrees.
+    """
 
 
 @dataclass(frozen=True)
@@ -108,8 +118,8 @@ def _as_edge_arrays(spec, n: int, kind: str, with_weights: bool):
     """Normalize an update spec into ``(src, dst[, w])`` int64/float64 arrays.
 
     Accepts a tuple/list of parallel arrays or an iterable of per-edge
-    tuples; validates endpoint range and (for weighted specs) weight
-    non-negativity.
+    tuples; validates endpoint range and (for weighted specs) that every
+    weight is finite and non-negative (:class:`InvalidWeightError`).
     """
     width = 3 if with_weights else 2
     empty = (_EMPTY_IDX, _EMPTY_IDX, _EMPTY_W) if with_weights else (_EMPTY_IDX, _EMPTY_IDX)
@@ -139,8 +149,13 @@ def _as_edge_arrays(spec, n: int, kind: str, with_weights: bool):
     if np.any(src == dst):
         raise ValueError(f"{kind} contains a self-loop (graphs are simple)")
     if w is not None:
-        if np.any(w < 0):
-            raise ValueError(f"{kind} contains a negative weight")
+        bad = ~(np.isfinite(w) & (w >= 0))
+        if bad.any():
+            k = int(np.nonzero(bad)[0][0])
+            raise InvalidWeightError(
+                f"{kind} weight {float(w[k])} on {int(src[k])} -> {int(dst[k])} "
+                "is not a finite non-negative number"
+            )
         return src, dst, w
     return src, dst
 

@@ -178,6 +178,7 @@ def gather_candidates(
     frontier: NDArray[np.int64],
     dist: NDArray[np.float64],
     workspace: RelaxWorkspace | None = None,
+    row_len: int | None = None,
 ) -> tuple[NDArray[np.int64] | None, NDArray[np.float64] | None]:
     """All relaxation requests out of *frontier*: ``(targets, distances)``.
 
@@ -187,9 +188,15 @@ def gather_candidates(
     the ``np.repeat`` offset expansions are the only per-wave
     temporaries left.  Returns ``(None, None)`` for an edgeless
     frontier.
+
+    *row_len* switches to a K-row state (the ``mxm`` form of the wave):
+    *frontier* then holds flat keys ``k·row_len + v`` into the K·row_len
+    array *dist*, each key gathers the CSR row of its vertex ``v``, and
+    its targets stay inside its own row ``k``.
     """
-    starts = indptr[frontier]
-    lengths = indptr[frontier + 1] - starts
+    verts = frontier if row_len is None else frontier % row_len
+    starts = indptr[verts]
+    lengths = indptr[verts + 1] - starts
     total = int(lengths.sum())
     if total == 0:
         return None, None
@@ -199,11 +206,13 @@ def gather_candidates(
         flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, lengths)
         out_t: NDArray[np.int64] = indices[flat]
         out_d: NDArray[np.float64] = np.repeat(dist[frontier], lengths) + weights[flat]
-        return out_t, out_d
-    flat, targets, dists = workspace.wave_buffers(total)
-    np.subtract(workspace.iota(total), offsets, out=flat)
-    flat += np.repeat(starts, lengths)
-    indices.take(flat, out=targets)
-    weights.take(flat, out=dists)
-    dists += np.repeat(dist[frontier], lengths)
-    return targets, dists
+    else:
+        flat, out_t, out_d = workspace.wave_buffers(total)
+        np.subtract(workspace.iota(total), offsets, out=flat)
+        flat += np.repeat(starts, lengths)
+        indices.take(flat, out=out_t)
+        weights.take(flat, out=out_d)
+        out_d += np.repeat(dist[frontier], lengths)
+    if row_len is not None:
+        out_t += np.repeat(frontier - verts, lengths)
+    return out_t, out_d

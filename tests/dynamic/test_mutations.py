@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dynamic import apply_edge_updates
+from repro.dynamic import InvalidWeightError, apply_edge_updates
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 
@@ -157,6 +157,18 @@ class TestValidation:
         g = _directed_graph()
         with pytest.raises(ValueError, match="negative"):
             apply_edge_updates(g, reweights=[(0, 1, -1.0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("kind", ["inserts", "reweights"])
+    def test_non_finite_or_negative_weight_rejected_before_mutating(self, kind, bad):
+        g = _directed_graph()
+        weights, epoch = g.weights.copy(), g.epoch
+        edge = (0, 3, bad) if kind == "inserts" else (0, 1, bad)
+        with pytest.raises(InvalidWeightError, match="finite non-negative"):
+            apply_edge_updates(g, **{kind: [edge]})
+        assert issubclass(InvalidWeightError, ValueError)
+        assert g.epoch == epoch
+        np.testing.assert_array_equal(g.weights, weights)
 
     def test_duplicate_edge_in_batch(self):
         g = _directed_graph()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dynamic import InvalidWeightError
 from repro.graphs import generators as gen
 from repro.service import DistanceCache, LandmarkIndex, Query, QueryService
 from repro.sssp import dijkstra
@@ -101,6 +102,41 @@ class TestHotRepair:
         assert g.epoch == 0
         resp = svc.query(0)
         assert resp.from_cache  # the valid entry survived the rejected batch
+
+    def test_nan_reweight_rejected_and_cache_stays_exact(self):
+        """Regression: ``NaN < 0`` is False, so a NaN reweight used to be
+        accepted; the repaired cache then answered 0 -> 1 = 1.0 (exact)
+        while Dijkstra on the mutated graph gave 4.0."""
+        g = gen.road_network(3, 3)
+        svc = QueryService(g)
+        before = svc.query(0, 1)
+        with pytest.raises(InvalidWeightError):
+            svc.mutate(reweights=[(0, 1, float("nan"))])
+        assert g.epoch == 0
+        assert svc.stats().mutations_applied == 0
+        again = svc.query(0, 1)
+        assert again.exact and again.distance == before.distance
+        assert again.distance == dijkstra(g, 0).distances[1]
+
+    def test_groups_of_rows_all_repaired_exactly(self):
+        """More cached entries than one repair group: every group's rows
+        are re-cached and bit-identical to a cold solve."""
+        from repro.service.server import REPAIR_GROUP_ROWS
+
+        g = _graph()
+        svc = QueryService(g)
+        sources = range(REPAIR_GROUP_ROWS + 5)
+        for s in sources:
+            svc.query(s)
+        report = svc.mutate(
+            deletes=[(0, int(g.indices[g.indptr[0]]))],
+            reweights=[(5, int(g.indices[g.indptr[5]]), 0.1)],
+        )
+        assert report.repaired_entries == len(sources)
+        for s in sources:
+            resp = svc.query(s)
+            assert resp.from_cache
+            assert np.array_equal(resp.distances, dijkstra(g, s).distances)
 
     def test_mutation_stats(self):
         g = _graph()

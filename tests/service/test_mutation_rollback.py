@@ -29,11 +29,11 @@ def reweight_batch(graph):
     return [(0, int(graph.indices[graph.indptr[0]]), 5.0)]
 
 
-def failing_repairs(monkeypatch, fail_after=1):
-    """Patch repair_sssp to die after *fail_after* successful repairs —
-    a genuine mid-flight failure, some entries already re-put."""
+def failing_groups(monkeypatch, fail_after=1):
+    """Patch repair_many to die after *fail_after* successful repair
+    groups — a genuine mid-flight failure, earlier groups already re-put."""
     calls = {"n": 0}
-    real = server_mod.repair_sssp
+    real = server_mod.repair_many
 
     def flaky(*args, **kwargs):
         calls["n"] += 1
@@ -41,8 +41,14 @@ def failing_repairs(monkeypatch, fail_after=1):
             raise RuntimeError("repair kernel died mid-flight")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(server_mod, "repair_sssp", flaky)
+    monkeypatch.setattr(server_mod, "repair_many", flaky)
     return calls
+
+
+def failing_repairs(monkeypatch, fail_after=1):
+    """One entry per repair group, dying after *fail_after* repairs."""
+    monkeypatch.setattr(server_mod, "REPAIR_GROUP_ROWS", 1)
+    return failing_groups(monkeypatch, fail_after)
 
 
 class TestRollback:
@@ -105,3 +111,24 @@ class TestRollback:
         repaired = service.query(0)
         cold = QueryService(graph).query(0)
         np.testing.assert_array_equal(repaired.distances, cold.distances)
+
+
+class TestGroupedRollback:
+    """A failure in the *second* repair group, at the real group size."""
+
+    def test_second_group_failure_evicts_first_group(self, service, graph, monkeypatch):
+        sources = range(server_mod.REPAIR_GROUP_ROWS + 3)  # two groups
+        before = {s: service.query(s) for s in sources}
+        calls = failing_groups(monkeypatch, fail_after=1)
+        with pytest.raises(RuntimeError, match="mid-flight"):
+            service.mutate(reweights=reweight_batch(graph), strict=False)
+        assert calls["n"] == 2  # the first group was repaired and re-put
+
+        stats = service.stats()
+        assert stats.cache.size == len(before)
+        assert stats.mutations_applied == 0
+        assert graph.epoch == 0
+        for s, resp in before.items():
+            again = service.query(s)
+            assert again.from_cache, f"source {s} lost its cache entry"
+            np.testing.assert_array_equal(again.distances, resp.distances)
