@@ -137,8 +137,7 @@ _HOT_BANNED_NP = {"zeros", "empty", "full", "arange", "concatenate"}
 #: contain at least one ``# repro: hot`` marker (directories: at least
 #: one marker across the directory's modules)
 HOT_FILES = (
-    "kernels", "sssp/fused.py", "shard/stepper.py", "service/batch.py",
-    "dynamic/incremental.py",
+    "kernels", "sssp/fused.py", "shard/stepper.py", "dynamic/incremental.py",
 )
 
 

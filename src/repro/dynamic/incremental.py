@@ -31,17 +31,20 @@ dynamic-SSSP decomposition of SSSP-Del (Javanrood & Ripeanu):
 
 **K rows, one wave loop.**  The paper writes a relaxation wave as
 ``tReq = A_Lᵀ (min.+) (t ∘ tBi)``.  Stacking the K vectors of a call as
-the rows of one flat ``k·n + v`` state lifts that ``vxm`` to an ``mxm``,
-exactly as :mod:`repro.service.batch` does for solves: each row is
-invalidated and seeded on its own, then every row relaxes in shared
-light and heavy phases scheduled by one
-:class:`~repro.kernels.BucketQueue`, so the fixed cost of a wave (bucket
-pop, gather set-up, kernel dispatch) is paid once for all K rows.  The
-``to_edges()`` export, the zero-weight test and the light/heavy split
-are computed once per call, not once per row.  Relaxations never cross
-rows, so each row's distances are those of its own repair.
+the rows of one flat ``k·n + v`` state lifts that ``vxm`` to an ``mxm``:
+each row is invalidated and seeded on its own, then every row relaxes
+in shared light and heavy phases scheduled by one
+:class:`~repro.kernels.BucketQueue` (:func:`relax_rows`), so the fixed
+cost of a wave (bucket pop, gather set-up, kernel dispatch) is paid once
+for all K rows.  The ``to_edges()`` export, the zero-weight test and the
+light/heavy split are computed once per call, not once per row.
+Relaxations never cross rows, so each row's distances are those of its
+own repair.  :func:`relax_rows` is also the batch solve engine
+(:mod:`repro.service.batch`): a batch of K sources is a repair whose
+state starts all-``inf`` and whose seeds are the K sources.
 
-The K·n state is K distance vectors, which is why the service repairs
+The K·n state is K distance vectors plus, for K > 1, a K·n scatter
+workspace for the per-target min, which is why the service repairs
 its cache in groups (:data:`repro.service.server.REPAIR_GROUP_ROWS`)
 rather than in one call: a single 128-row state on a 10k-vertex road
 mesh measured +11% peak RSS, while 16-row groups keep most of the saving
@@ -63,13 +66,19 @@ from typing import NamedTuple
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import BucketQueue, gather_candidates, min_by_target, workspace_for
+from ..kernels import (
+    BucketQueue,
+    RelaxWorkspace,
+    gather_candidates,
+    min_by_target,
+    workspace_for,
+)
 from ..sssp.delta import choose_delta
 from ..sssp.fused import split_csr_light_heavy
 from ..sssp.result import INF
 from .mutations import AppliedUpdates
 
-__all__ = ["RepairResult", "repair_many", "repair_sssp", "affected_vertices"]
+__all__ = ["RepairResult", "repair_many", "repair_sssp", "affected_vertices", "relax_rows"]
 
 #: shared empty key array — the seeding's no-seed result and the relax
 #: wave's edgeless return (the ``hot-loop-alloc`` module-constant pattern)
@@ -281,21 +290,26 @@ def _seed_row(graph: Graph, source: int, d: np.ndarray, batch: _Batch) -> tuple[
     return affected, np.unique(np.concatenate(heads))
 
 
-def _relax_rows(graph: Graph, t: np.ndarray, seeds: np.ndarray, delta: float) -> dict[str, int]:
-    """Relax the seeded flat state *t* to quiescence; returns the counters.
+def relax_rows(graph: Graph, t: np.ndarray, seeds: np.ndarray, delta: float) -> dict[str, int]:
+    """Relax the seeded flat state *t* in place to quiescence.
 
     *t* holds K rows of n distances (``key = k·n + v``) and *seeds* the
-    keys the seeding lowered.  All rows share each light and heavy phase
-    and one :class:`~repro.kernels.BucketQueue`, with the
-    ``push_into(i + 1)`` hint of :mod:`repro.sssp.fused`.
+    unique keys whose distance was lowered since *t* was last quiescent
+    (an all-``inf`` state is quiescent, so a solve seeds its sources).
+    All rows share each light and heavy phase and one
+    :class:`~repro.kernels.BucketQueue`, with the ``push_into(i + 1)``
+    hint of :mod:`repro.sssp.fused`.  Returns the
+    ``buckets``/``phases``/``relaxations``/``updates`` counters of the
+    shared waves; ``buckets`` counts non-empty buckets only.
     """
     n = graph.num_vertices
     row_len = n if len(t) > n else None
     (ALp, ALi, ALw), (AHp, AHi, AHw) = split_csr_light_heavy(graph, delta)
     ws = workspace_for(graph)
-    # the per-graph arena's scatter buffer covers n keys, not K·n: several
-    # rows take the sort kernel instead of a state-sized workspace
-    min_ws = ws if row_len is None else None
+    # the min kernel's workspace covers the whole state: the per-graph
+    # arena for one row, a fresh K·n one for several (dense waves then
+    # scatter-min instead of sorting)
+    min_ws = ws if row_len is None else RelaxWorkspace(len(t))
     counters = {"buckets": 0, "phases": 0, "relaxations": 0, "updates": 0}
     bq = BucketQueue(delta)
     bq.push(seeds, t[seeds])
@@ -385,7 +399,7 @@ def _repair_rows(graph, sources, distances, updates, delta, stepper, recorder) -
     keys = np.concatenate([_EMPTY_V, *(seeds + k * n for k, (_, seeds) in enumerate(seeded))])
     counters = {"buckets": 0, "phases": 0, "relaxations": 0, "updates": 0}
     if len(keys) and stepper in (None, "delta"):
-        counters = _relax_rows(graph, t, keys, delta)
+        counters = relax_rows(graph, t, keys, delta)
     elif len(keys):
         counters = _resolve(graph, t, keys, stepper, recorder)
     return [

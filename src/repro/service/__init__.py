@@ -6,7 +6,9 @@ answers "one source, one run", this package serves *query traffic*:
 ==========================  =================================================
 :mod:`~repro.service.batch`      K-source delta-stepping through shared
                                  light/heavy relaxation waves (one ``mxm``
-                                 per wave instead of K ``vxm``)
+                                 per wave instead of K ``vxm``) on the
+                                 repair path's K-row wave loop, or any
+                                 other stepper spec as a per-source loop
 :mod:`~repro.service.cache`      LRU cache of full distance vectors with
                                  mutation invalidation
 :mod:`~repro.service.landmarks`  ALT-style triangle-inequality bounds for
@@ -30,13 +32,7 @@ Entry points::
 
 from __future__ import annotations
 
-from .batch import (
-    BATCH_METHODS,
-    BatchSSSPResult,
-    batch_delta_stepping,
-    batch_fused_delta_stepping,
-    batch_graphblas_delta_stepping,
-)
+from .batch import BatchSSSPResult, batch_delta_stepping, batch_fused_delta_stepping
 from .cache import CacheStats, DistanceCache
 from .landmarks import (
     LANDMARK_STRATEGIES,
@@ -51,8 +47,6 @@ __all__ = [
     "BatchSSSPResult",
     "batch_delta_stepping",
     "batch_fused_delta_stepping",
-    "batch_graphblas_delta_stepping",
-    "BATCH_METHODS",
     "DistanceCache",
     "CacheStats",
     "LandmarkIndex",

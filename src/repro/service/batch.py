@@ -4,28 +4,25 @@ The paper expresses a relaxation wave as ``tReq = A_Lᵀ (min.+) (t ∘ tBi)``
 — a ``vxm`` over one frontier *vector*.  Stacking K frontiers as the rows
 of a K×n matrix lifts the same wave to one ``mxm``: every phase relaxes
 the light (or heavy) edges of **all K searches simultaneously**, so the
-per-phase fixed costs (bucket filtering, candidate grouping, the Python
-dispatch itself) are paid once per wave instead of once per source.  That
+per-phase fixed costs (bucket pop, candidate gather, the Python dispatch
+itself) are paid once per wave instead of once per source.  That
 amortization is where the batch throughput win comes from — the same
 bucket-fusion observation as Dong et al. 2021 ("Efficient Stepping
 Algorithms and Implementations for Parallel Shortest Paths").
 
-Two engines, mirroring the repo's single-source pair:
+One engine.  A batch solve is a repair whose state starts all-``inf``
+and whose seeds are the K sources, so :func:`batch_fused_delta_stepping`
+sets ``t[k·n + s_k] = 0`` on one flat K·n state and hands it to
+:func:`repro.dynamic.incremental.relax_rows` — the same K-row wave loop
+that repairs cached distances after a mutation, scheduled by one
+:class:`~repro.kernels.BucketQueue`.
 
-- ``method="fused"`` (default) — the throughput engine.  State is one
-  flattened dense array over the K×n key space (``key = k·n + v``); each
-  wave expands CSR rows for every (row, frontier-vertex) pair, offsets
-  targets into the owning source's row, and **scatter-mins** the
-  candidates into a reusable dense request buffer (``np.minimum.at`` —
-  an indexed ufunc loop, linear in candidates, no per-wave sort).  The
-  single-source fused kernel pays a sort per wave to group candidates;
-  the batch engine replaces it with O(candidates) scatter against the
-  dense key space that batching makes affordable.
-- ``method="graphblas"`` — the linear-algebraic form, written call-by-call
-  with :mod:`repro.graphblas.operations` matrix kernels (``mxm`` with the
-  ``(min, +)`` semiring, masked ``apply``, ``ewise_add``).  Slower, but
-  it *is* the paper's formulation lifted to matrices, and the tests pin
-  both engines to per-source Dijkstra.
+Dispatch (:func:`batch_delta_stepping`):
+
+- ``method="delta"`` (default) — the shared-wave engine above;
+- any other :data:`repro.stepping.STEPPERS` spec, including a
+  parameterized ``"delta(kernel=scatter)"`` — :func:`batch_stepper_loop`,
+  K independent runs of that stepper packaged as one batch.
 
 Bucket synchronization: all K sources share the global bucket index
 ``i`` (bucket = ``[iΔ, (i+1)Δ)``).  Relaxations never cross rows, so each
@@ -40,28 +37,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dynamic.incremental import relax_rows
 from ..graphs.graph import Graph
-from ..kernels import RelaxWorkspace, check_kernel, min_by_target
 from ..sssp.delta import choose_delta
-from ..sssp.fused import split_csr_light_heavy
 from ..sssp.result import INF, SSSPResult
+
+# min_by_target and split_csr_light_heavy stay bound here: perfbench's
+# traced run wraps them by these names in this module
+from ..kernels import min_by_target  # noqa: F401
+from ..sssp.fused import split_csr_light_heavy  # noqa: F401
 
 __all__ = [
     "BatchSSSPResult",
     "batch_delta_stepping",
     "batch_fused_delta_stepping",
-    "batch_graphblas_delta_stepping",
     "batch_stepper_loop",
-    "BATCH_METHODS",
 ]
 
 #: flattened K·n state-size guard — past this, chunk the sources instead
 #: (the service planner does; see :mod:`repro.service.planner`)
 MAX_STATE_ENTRIES = 1 << 27
-
-#: shared empty frontier for the batch relax's edgeless-wave return (the
-#: ``hot-loop-alloc`` rule's module-constant whitelist pattern)
-_EMPTY_V = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -120,27 +115,15 @@ def _check_sources(graph: Graph, sources) -> np.ndarray:
     return src
 
 
-def batch_fused_delta_stepping(
-    graph: Graph, sources, delta: float = 1.0, kernel: str = "scatter"
-) -> BatchSSSPResult:
-    """Fused batch engine: scatter-min relaxation waves on the K·n key space.
+def batch_fused_delta_stepping(graph: Graph, sources, delta: float = 1.0) -> BatchSSSPResult:
+    """Shared-wave batch engine: K sources relaxed as rows of one K·n state.
 
-    All state lives in one flat ``float64`` array of length K·n indexed
-    by ``key = k·n + v``; relaxation targets stay inside the owning row
-    (``k·n + neighbor``), so one pass of the shared scatter-min kernel
-    (:func:`repro.kernels.min_by_target_scatter`, backed by a
-    :class:`~repro.kernels.RelaxWorkspace` sized to the flattened state)
-    resolves the requests of all K searches at once.  The workspace's
-    request buffer is allocated once and only its touched keys are reset
-    after each wave, keeping every wave linear in its candidate count;
-    the kernel's internal thin-wave compaction replaces a full-state
-    scan with a sorted-unique when a wave is sparse.  *kernel* defaults
-    to ``scatter`` (the batching win); ``argsort``/``auto`` are accepted
-    for parity with the single-source engines.
+    Row k starts all-``inf`` except ``t[k·n + s_k] = 0``; the rows then
+    relax together through :func:`repro.dynamic.incremental.relax_rows`.
+    Counters are those of the shared waves.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    check_kernel(kernel)
     src = _check_sources(graph, sources)
     K, n = len(src), graph.num_vertices
     if K * n > MAX_STATE_ENTRIES:
@@ -148,168 +131,15 @@ def batch_fused_delta_stepping(
             f"batch state K*n = {K * n} exceeds {MAX_STATE_ENTRIES}; "
             "chunk the sources (the service planner does this)"
         )
-
-    (ALp, ALi, ALw), (AHp, AHi, AHw) = split_csr_light_heavy(graph, delta)
-    # K·n ≤ MAX_STATE_ENTRIES < 2^31, so int32 keys are safe and halve the
-    # index traffic of the expansion (the hot path's memory bound)
-    ALi32, AHi32 = ALi.astype(np.int32), AHi.astype(np.int32)
-
     t = np.full(K * n, INF, dtype=np.float64)
-    t[np.arange(K, dtype=np.int64) * n + src] = 0.0
-    ws = RelaxWorkspace(K * n)  # request buffer + touched mask, reused per wave
-    in_bucket = np.zeros(K * n, dtype=bool)
-    settled_set = np.zeros(K * n, dtype=bool)
-    # shared 0..total ramp, grown on demand (a wave's total can reach K·E);
-    # kept int32 here — half the index traffic of the workspace's int64 ramp
-    iota = [np.arange(max(len(ALi), len(AHi), 1), dtype=np.int32)]
-    counters = {"buckets": 0, "phases": 0, "relaxations": 0, "updates": 0}
-
-    # repro: hot
-    def relax(indptr, indices, weights, frontier, lo, hi, track_bucket):
-        verts = frontier % n
-        base = (frontier - verts).astype(np.int32)  # k·n offset of each entry's row
-        starts = indptr[verts].astype(np.int32)
-        lengths = (indptr[verts + 1] - indptr[verts]).astype(np.int32)
-        total = int(lengths.sum())
-        if total == 0:
-            return _EMPTY_V
-        if total >= 2**31:  # pragma: no cover - int32 expansion guard
-            raise ValueError("relaxation wave too large; reduce the batch size")
-        if total > len(iota[0]):
-            # repro: alloc-ok — geometric-style ramp regrowth, amortized away
-            iota[0] = np.arange(total, dtype=np.int32)
-        offsets = np.repeat(np.cumsum(lengths, dtype=np.int32) - lengths, lengths)
-        flat = iota[0][:total] - offsets + np.repeat(starts, lengths)
-        targets = np.repeat(base, lengths) + indices[flat]
-        dists = np.repeat(t[frontier], lengths) + weights[flat]
-        counters["relaxations"] += total
-        # tReq = A' (min.+) frontier — the shared per-target min kernel
-        # over the dense key space (batching makes the buffer pay rent)
-        uts, ubest = min_by_target(targets, dists, workspace=ws, kernel=kernel)
-        improved = ubest < t[uts]
-        uts, ubest = uts[improved], ubest[improved]
-        counters["updates"] += len(uts)
-        t[uts] = ubest
-        if track_bucket:
-            reenter = (ubest >= lo) & (ubest < hi)
-            return uts[reenter]
-        return uts
-
-    i = 0
-    while True:
-        finite = np.isfinite(t)
-        remaining = finite & (t >= i * delta)
-        if not remaining.any():
-            break
-        i = max(i, int(t[remaining].min() // delta))
-        lo, hi = i * delta, (i + 1) * delta
-        counters["buckets"] += 1
-        np.logical_and(t >= lo, t < hi, out=in_bucket)
-        frontier = np.nonzero(in_bucket)[0]
-        settled_set[:] = False
-        while len(frontier):
-            counters["phases"] += 1
-            settled_set[frontier] = True
-            frontier = relax(ALp, ALi32, ALw, frontier, lo, hi, track_bucket=True)
-        settled = np.nonzero(settled_set)[0]
-        if len(settled):
-            counters["phases"] += 1
-            relax(AHp, AHi32, AHw, settled, lo, hi, track_bucket=False)
-        i += 1
-
+    seeds = np.arange(K, dtype=np.int64) * n + src
+    t[seeds] = 0.0
+    counters = relax_rows(graph, t, seeds, delta)
     return BatchSSSPResult(
         distances=t.reshape(K, n),
         sources=src,
         delta=delta,
-        method="batch-fused",
-        buckets_processed=counters["buckets"],
-        phases=counters["phases"],
-        relaxations=counters["relaxations"],
-        updates=counters["updates"],
-    )
-
-
-def batch_graphblas_delta_stepping(graph: Graph, sources, delta: float = 1.0) -> BatchSSSPResult:
-    """Linear-algebraic batch engine: the Fig. 2 listing with matrix frontiers.
-
-    Every vector of the single-source listing becomes a K×n matrix and
-    every ``vxm`` becomes an ``mxm``; the call sequence is otherwise
-    line-for-line the unfused :func:`repro.sssp.graphblas_sssp.graphblas_delta_stepping`.
-    """
-    from ..graphblas import operations as ops
-    from ..graphblas.binaryop import LOR, LT, MIN
-    from ..graphblas.descriptor import REPLACE
-    from ..graphblas.matrix import Matrix
-    from ..graphblas.monoid import MIN_MONOID
-    from ..graphblas.semiring import MIN_PLUS
-    from ..graphblas.types import BOOL, FP64
-    from ..graphblas.unaryop import IDENTITY, range_filter, threshold_geq
-    from ..sssp.graphblas_sssp import build_light_heavy_matrices
-
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    src = _check_sources(graph, sources)
-    K, n = len(src), graph.num_vertices
-
-    A = graph.to_matrix()
-    Al, Ah = build_light_heavy_matrices(A, delta)
-
-    # T[k, s_k] = 0 — unstored entries are implicitly infinite
-    T = Matrix.new(FP64, K, n)
-    for k in range(K):
-        ops.assign_scalar_matrix(T, 0.0, rows=[k], cols=[int(src[k])])
-
-    TB = Matrix.new(BOOL, K, n)
-    Tmasked = Matrix.new(FP64, K, n)
-    TReq = Matrix.new(FP64, K, n)
-    TLess = Matrix.new(BOOL, K, n)
-    S = Matrix.new(BOOL, K, n)
-    Tgeq = Matrix.new(BOOL, K, n)
-    Tcomp = Matrix.new(FP64, K, n)
-
-    counters = {"buckets": 0, "phases": 0, "relaxations": 0, "updates": 0}
-    i = 0
-
-    def active_count() -> int:
-        ops.apply(Tgeq, threshold_geq(i * delta), T)
-        ops.apply(Tcomp, IDENTITY, T, mask=Tgeq, desc=REPLACE)
-        return Tcomp.nvals
-
-    while active_count() > 0:
-        smallest = ops.reduce_matrix_to_scalar(MIN_MONOID, Tcomp)
-        i = max(i, int(smallest // delta))
-        counters["buckets"] += 1
-        S.clear()
-        ops.apply(TB, range_filter(i * delta, (i + 1) * delta), T, desc=REPLACE)
-        ops.apply(Tmasked, IDENTITY, T, mask=TB, desc=REPLACE)
-
-        while Tmasked.nvals > 0:
-            counters["phases"] += 1
-            # TReq = (T ∘ TBi) (min.+) A_L — K relaxation waves in one mxm
-            ops.mxm(TReq, MIN_PLUS, Tmasked, Al, desc=REPLACE)
-            counters["relaxations"] += TReq.nvals
-            ops.ewise_add(S, LOR, S, TB)
-            ops.ewise_add(TLess, LT, TReq, T, mask=TReq, desc=REPLACE)
-            ops.apply(TB, range_filter(i * delta, (i + 1) * delta), TReq, mask=TLess, desc=REPLACE)
-            counters["updates"] += int(np.count_nonzero(TLess.values))
-            ops.ewise_add(T, MIN, T, TReq)
-            ops.apply(Tmasked, IDENTITY, T, mask=TB, desc=REPLACE)
-
-        ops.apply(Tmasked, IDENTITY, T, mask=S, desc=REPLACE)
-        ops.mxm(TReq, MIN_PLUS, Tmasked, Ah, desc=REPLACE)
-        counters["relaxations"] += TReq.nvals
-        counters["phases"] += 1
-        ops.ewise_add(T, MIN, T, TReq)
-        i += 1
-
-    distances = np.full((K, n), INF, dtype=np.float64)
-    rows, cols, vals = T.to_coo()
-    distances[rows, cols] = vals
-    return BatchSSSPResult(
-        distances=distances,
-        sources=src,
-        delta=delta,
-        method="batch-graphblas",
+        method="batch-delta",
         buckets_processed=counters["buckets"],
         phases=counters["phases"],
         relaxations=counters["relaxations"],
@@ -361,21 +191,11 @@ def batch_stepper_loop(
     )
 
 
-BATCH_METHODS = {
-    "fused": batch_fused_delta_stepping,
-    "graphblas": batch_graphblas_delta_stepping,
-}
-
-#: stepper names whose batched form *is* a native engine: classic
-#: delta-stepping batches through the shared-wave kernel, not a loop
-_STEPPER_BATCH_ALIASES = {"delta": "fused"}
-
-
 def batch_delta_stepping(
     graph: Graph,
     sources,
     delta: float | None = None,
-    method: str = "fused",
+    method: str = "delta",
     recorder=None,
 ) -> BatchSSSPResult:
     """Run SSSP from all *sources*, batched where the method supports it.
@@ -392,39 +212,32 @@ def batch_delta_stepping(
         (:func:`repro.sssp.delta.choose_delta`).  Ignored by
         stepper-dispatched methods (each stepper picks its own knobs).
     method:
-        ``"fused"`` (shared-wave throughput engine, default),
-        ``"graphblas"`` (matrix-kernel formulation), or any stepper
-        spec over the :data:`repro.stepping.STEPPERS` registry — a bare
-        name or a parameterized form like ``"sharded(shards=4)"``.
-        ``"delta"`` maps to the native fused engine, the rest run
-        through :func:`batch_stepper_loop`.
+        A :data:`repro.stepping.STEPPERS` spec.  A bare ``"delta"``
+        (default) runs the shared-wave engine
+        (:func:`batch_fused_delta_stepping`); every other spec — a bare
+        name or a parameterized form like ``"sharded(shards=4)"`` or
+        ``"delta(kernel=scatter)"`` — runs through
+        :func:`batch_stepper_loop`.
     recorder:
-        A truthy :class:`repro.obs.Recorder` wraps the native batch
-        engines in a ``batch:<method>`` span (sources count as an arg)
-        and forwards into stepper-dispatched solves.  Recording never
-        changes the distances.
+        A truthy :class:`repro.obs.Recorder` wraps the shared-wave engine
+        in a ``batch:delta`` span (sources count as an arg) and forwards
+        into stepper-dispatched solves.  Recording never changes the
+        distances.
     """
     from ..stepping import STEPPERS, parse_stepper_spec
 
     name, params = parse_stepper_spec(method)
-    name = _STEPPER_BATCH_ALIASES.get(name, name)
-    if name in BATCH_METHODS:
-        if params:
-            raise ValueError(
-                f"batch method {name!r} takes no spec params (got {method!r}); "
-                "pass delta= directly"
-            )
-        if delta is None:
-            delta = choose_delta(graph)
-        if recorder:
-            with recorder.span(
-                "batch:" + name, sources=int(np.size(np.asarray(sources)))
-            ) as sp:
-                result = BATCH_METHODS[name](graph, sources, delta)
-                sp.set(phases=result.phases, relaxations=result.relaxations)
-            return result
-        return BATCH_METHODS[name](graph, sources, delta)
-    if name in STEPPERS:
+    if name not in STEPPERS:
+        raise ValueError(
+            f"unknown batch method {method!r}; known: {', '.join(STEPPERS)}"
+        )
+    if name != "delta" or params:
         return batch_stepper_loop(graph, sources, stepper=method, recorder=recorder)
-    known = ", ".join(dict.fromkeys([*sorted(BATCH_METHODS), *STEPPERS]))
-    raise ValueError(f"unknown batch method {method!r}; known: {known}")
+    if delta is None:
+        delta = choose_delta(graph)
+    if not recorder:
+        return batch_fused_delta_stepping(graph, sources, delta)
+    with recorder.span("batch:delta", sources=int(np.size(np.asarray(sources)))) as sp:
+        result = batch_fused_delta_stepping(graph, sources, delta)
+        sp.set(phases=result.phases, relaxations=result.relaxations)
+    return result

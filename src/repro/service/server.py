@@ -152,6 +152,10 @@ class QueryService:
     planner:
         Optional :class:`QueryPlanner`; defaults to batches of
         *max_batch_size* with *latency_budget_ms*.
+    batch_method:
+        The :func:`repro.service.batch.batch_delta_stepping` method used
+        when the planner stamps no stepper: ``"delta"`` (the shared-wave
+        engine) or any other stepper spec.
     stepper:
         Pin exact solves to one stepping-registry algorithm (any name
         accepted by :func:`repro.service.batch.batch_delta_stepping`,
@@ -224,7 +228,7 @@ class QueryService:
         planner: QueryPlanner | None = None,
         max_batch_size: int = 64,
         latency_budget_ms: float | None = None,
-        batch_method: str = "fused",
+        batch_method: str = "delta",
         stepper: str | None = None,
         autotune: bool = False,
         tuner=None,

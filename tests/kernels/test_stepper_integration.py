@@ -114,22 +114,3 @@ class TestFusedCounterParity:
         for label, g in graphs.items():
             r = self._parity(g, 0, 0.5, "scatter")
             assert np.array_equal(r.distances, dijkstra(g, 0).distances), label
-
-
-class TestBatchEngineKernels:
-    def test_batch_fused_kernels_agree(self, graphs):
-        from repro.service.batch import batch_fused_delta_stepping
-
-        g = graphs["random"]
-        sources = [0, 3, 11]
-        a = batch_fused_delta_stepping(g, sources, 0.5, kernel="scatter")
-        b = batch_fused_delta_stepping(g, sources, 0.5, kernel="argsort")
-        assert np.array_equal(a.distances, b.distances)
-        for k, s in enumerate(sources):
-            assert np.array_equal(a.distances[k], dijkstra(g, s).distances)
-
-    def test_batch_rejects_unknown_kernel(self, graphs):
-        from repro.service.batch import batch_fused_delta_stepping
-
-        with pytest.raises(ValueError, match="unknown kernel"):
-            batch_fused_delta_stepping(graphs["random"], [0], 0.5, kernel="quantum")

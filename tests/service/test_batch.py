@@ -3,20 +3,25 @@
 import numpy as np
 import pytest
 
+from repro.bench.mutate_bench import build_update_batch
+from repro.dynamic import apply_edge_updates, repair_many
 from repro.graphs import datasets
 from repro.graphs.graph import Graph
+from repro.kernels import minby, workspace_for
 from repro.service.batch import (
     BatchSSSPResult,
     batch_delta_stepping,
     batch_fused_delta_stepping,
-    batch_graphblas_delta_stepping,
 )
 from repro.sssp import dijkstra, fused_delta_stepping
 from repro.sssp.delta import choose_delta
 
 
+CI_GRAPHS = ["ci-ba", "ci-rmat", "ci-road", "ci-ws", "ci-er"]
+
+
 class TestBatchMatchesDijkstra:
-    @pytest.mark.parametrize("name", ["ci-ba", "ci-rmat", "ci-road", "ci-ws", "ci-er"])
+    @pytest.mark.parametrize("name", CI_GRAPHS)
     def test_ci_suite_unit_weights(self, name):
         g = datasets.load(name)
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -37,17 +42,22 @@ class TestBatchMatchesDijkstra:
                 np.isfinite(res.distances[k]), np.isfinite(oracle)
             )
 
-    def test_graphblas_engine_matches(self, diamond_graph):
-        res = batch_graphblas_delta_stepping(diamond_graph, [0, 1, 3], 1.0)
-        for k, s in enumerate([0, 1, 3]):
-            assert np.array_equal(res.distances[k], dijkstra(diamond_graph, s).distances)
+    def test_k64_rmat_takes_the_state_sized_scatter_path(self, monkeypatch):
+        g = datasets.load("ci-rmat")
+        sources = np.random.default_rng(64).choice(g.num_vertices, size=64, replace=False)
+        scatter_keys = []
+        real_scatter = minby.min_by_target_scatter
 
-    def test_engines_agree(self):
-        g = datasets.load("ci-ws")
-        sources = [0, 10, 20, 30]
-        fused = batch_fused_delta_stepping(g, sources, 1.0)
-        gb = batch_graphblas_delta_stepping(g, sources, 1.0)
-        assert np.array_equal(fused.distances, gb.distances)
+        def spy(targets, dists, workspace):
+            scatter_keys.append(workspace.n)
+            return real_scatter(targets, dists, workspace)
+
+        monkeypatch.setattr(minby, "min_by_target_scatter", spy)
+        res = batch_delta_stepping(g, sources)
+        # dense waves scatter-min into a workspace covering the K·n state
+        assert 64 * g.num_vertices in scatter_keys
+        for k, s in enumerate(sources):
+            assert np.array_equal(res.distances[k], dijkstra(g, int(s)).distances), k
 
     def test_duplicate_sources_allowed(self, diamond_graph):
         res = batch_delta_stepping(diamond_graph, [0, 0, 2])
@@ -59,6 +69,15 @@ class TestBatchMatchesDijkstra:
         for k, s in enumerate(sources):
             single = fused_delta_stepping(grid_graph, s, 1.0)
             assert np.array_equal(res.distances[k], single.distances)
+        # at K=1 the shared engine runs the single-source schedule exactly
+        for name in CI_GRAPHS:
+            g = datasets.load(name)
+            one = batch_delta_stepping(g, [3])
+            single = fused_delta_stepping(g, 3, one.delta)
+            assert np.array_equal(one.distances[0], single.distances), name
+            assert (one.buckets_processed, one.phases, one.relaxations, one.updates) == (
+                single.buckets_processed, single.phases, single.relaxations, single.updates,
+            ), name
 
 
 class TestBatchShape:
@@ -85,6 +104,21 @@ class TestBatchShape:
             fused_delta_stepping(grid_graph, s, 1.0).phases for s in sources
         )
         assert batch.phases < single_phases
+
+    def test_graph_workspace_clean_after_batch_and_repair(self):
+        g = datasets.load("ci-ws", weights="uniform", seed=5).copy()
+        ws = workspace_for(g)
+        batch_delta_stepping(g, [0], delta=1.0)
+        ws.check()
+        sources = [0, 7, 42]
+        before = batch_delta_stepping(g, sources, delta=1.0).distances
+        ws.check()
+        inserts, deletes, reweights = build_update_batch(g, 0.02, np.random.default_rng(5))
+        applied = apply_edge_updates(g, inserts=inserts, deletes=deletes, reweights=reweights)
+        repaired = repair_many(g, sources, before, applied, delta=1.0)
+        ws.check()
+        for s, r in zip(sources, repaired):
+            assert np.array_equal(r.distances, dijkstra(g, s).distances)
 
     def test_delta_auto_selection(self, grid_graph):
         res = batch_delta_stepping(grid_graph, [0])

@@ -19,7 +19,10 @@ def ws_graph():
 
 
 class TestBatchDispatch:
-    @pytest.mark.parametrize("method", ["rho", "radius", "delta-star", "bellman-ford"])
+    @pytest.mark.parametrize(
+        "method",
+        ["rho", "radius", "delta-star", "bellman-ford", "delta(kernel=scatter)", "delta(delta=2)"],
+    )
     def test_batch_via_stepper_matches_dijkstra(self, ws_graph, method):
         sources = [0, 7, 42]
         res = batch_delta_stepping(ws_graph, sources, method=method)
@@ -29,15 +32,17 @@ class TestBatchDispatch:
 
     def test_delta_aliases_to_native_engine(self, ws_graph):
         """"delta" IS batched delta-stepping: it routes to the shared-wave
-        fused engine, not the per-source loop."""
+        engine, not the per-source loop."""
         res = batch_delta_stepping(ws_graph, [0, 7], method="delta")
-        assert res.method == "batch-fused"
+        assert res.method == "batch-delta"
 
     def test_unknown_method_enumerates_both_registries(self, ws_graph):
+        """The error lists the stepper registry, the one dispatch table."""
         with pytest.raises(ValueError) as excinfo:
             batch_delta_stepping(ws_graph, [0], method="warp-drive")
         message = str(excinfo.value)
-        assert "fused" in message and "rho" in message and "radius" in message
+        assert "delta" in message and "rho" in message and "radius" in message
+        assert "fused" not in message
 
     def test_stepper_loop_counters_aggregate(self, ws_graph):
         res = batch_stepper_loop(ws_graph, [0, 7], stepper="rho")
@@ -116,6 +121,21 @@ class TestServiceStepping:
         resp = svc.query(0)  # warm: cache hit, no batches
         assert resp.from_cache
         assert dict(tuner._reports) == probed  # no new probe happened
+
+    def test_parameterized_delta_spec_answers_exactly(self, ws_graph):
+        svc = QueryService(ws_graph, stepper="delta(kernel=scatter)")
+        resp = svc.query(5)
+        assert np.array_equal(resp.distances, dijkstra(ws_graph, 5).distances)
+
+    def test_tuned_parameterized_delta_spec_answers_exactly(self, ws_graph):
+        svc = QueryService(ws_graph, tuner=AutoTuner(candidates=("delta(kernel=scatter)",)))
+        sources = [0, 9, 42]
+        for s in sources:
+            svc.submit(Query(source=s))
+        responses = svc.drain()
+        assert svc.planner.stepper == "delta(kernel=scatter)"
+        for s, resp in zip(sources, responses):
+            assert np.array_equal(resp.distances, dijkstra(ws_graph, s).distances)
 
     def test_stepper_param_installs_on_custom_planner(self, ws_graph):
         planner = QueryPlanner(max_batch_size=4)
