@@ -23,8 +23,7 @@ Module map
 ==================================  =========================================
 :mod:`~repro.analysis.lint`         AST lint rules (``hot-loop-alloc``,
                                     ``recorder-guard``, ``registry-spec``,
-                                    ``export-hygiene``,
-                                    ``no-deprecated-import``) behind one
+                                    ``export-hygiene``) behind one
                                     registry (:data:`~repro.analysis.lint.RULES`)
                                     and one driver (``repro lint``)
 :mod:`~repro.analysis.racecheck`    write-set race checker for the sharded

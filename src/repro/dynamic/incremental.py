@@ -29,19 +29,12 @@ dynamic-SSSP decomposition of SSSP-Del (Javanrood & Ripeanu):
   are reset to ``inf`` and re-seeded from the one vectorized pass that
   gathers every edge crossing from the intact region into the hole.
 
-**K rows, one wave loop.**  The paper writes a relaxation wave as
-``tReq = A_Lᵀ (min.+) (t ∘ tBi)``.  Stacking the K vectors of a call as
-the rows of one flat ``k·n + v`` state lifts that ``vxm`` to an ``mxm``:
-each row is invalidated and seeded on its own, then every row relaxes
-in shared light and heavy phases scheduled by one
-:class:`~repro.kernels.BucketQueue` (:func:`relax_rows`), so the fixed
-cost of a wave (bucket pop, gather set-up, kernel dispatch) is paid once
-for all K rows.  The ``to_edges()`` export, the zero-weight test and the
-light/heavy split are computed once per call, not once per row.
-Relaxations never cross rows, so each row's distances are those of its
-own repair.  :func:`relax_rows` is also the batch solve engine
-(:mod:`repro.service.batch`): a batch of K sources is a repair whose
-state starts all-``inf`` and whose seeds are the K sources.
+**K rows, one wave loop.**  The K vectors of a call are the rows of
+one flat ``k·n + v`` state: each row is invalidated and seeded on its
+own, then all rows relax together in the shared wave loop
+:func:`repro.sssp.fused.relax_rows` (see :mod:`repro.sssp.fused`).
+The ``to_edges()`` export, the zero-weight test and the light/heavy
+split are computed once per call, not once per row.
 
 The K·n state is K distance vectors plus, for K > 1, a K·n scatter
 workspace for the per-target min, which is why the service repairs
@@ -66,22 +59,19 @@ from typing import NamedTuple
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import (
-    BucketQueue,
-    RelaxWorkspace,
-    gather_candidates,
-    min_by_target,
-    workspace_for,
-)
-from ..sssp.delta import choose_delta
-from ..sssp.fused import split_csr_light_heavy
+from ..sssp.delta import check_delta, choose_delta
+from ..sssp.fused import relax_rows
 from ..sssp.result import INF
 from .mutations import AppliedUpdates
 
-__all__ = ["RepairResult", "repair_many", "repair_sssp", "affected_vertices", "relax_rows"]
+# gather_candidates, min_by_target and split_csr_light_heavy stay bound
+# here: perfbench's traced run wraps them by these names in this module
+from ..kernels import gather_candidates, min_by_target  # noqa: F401
+from ..sssp.fused import split_csr_light_heavy  # noqa: F401
 
-#: shared empty key array — the seeding's no-seed result and the relax
-#: wave's edgeless return (the ``hot-loop-alloc`` module-constant pattern)
+__all__ = ["RepairResult", "repair_many", "repair_sssp", "affected_vertices"]
+
+#: shared empty key array — the seeding's no-seed result
 _EMPTY_V = np.empty(0, dtype=np.int64)
 
 
@@ -290,68 +280,6 @@ def _seed_row(graph: Graph, source: int, d: np.ndarray, batch: _Batch) -> tuple[
     return affected, np.unique(np.concatenate(heads))
 
 
-def relax_rows(graph: Graph, t: np.ndarray, seeds: np.ndarray, delta: float) -> dict[str, int]:
-    """Relax the seeded flat state *t* in place to quiescence.
-
-    *t* holds K rows of n distances (``key = k·n + v``) and *seeds* the
-    unique keys whose distance was lowered since *t* was last quiescent
-    (an all-``inf`` state is quiescent, so a solve seeds its sources).
-    All rows share each light and heavy phase and one
-    :class:`~repro.kernels.BucketQueue`, with the ``push_into(i + 1)``
-    hint of :mod:`repro.sssp.fused`.  Returns the
-    ``buckets``/``phases``/``relaxations``/``updates`` counters of the
-    shared waves; ``buckets`` counts non-empty buckets only.
-    """
-    n = graph.num_vertices
-    row_len = n if len(t) > n else None
-    (ALp, ALi, ALw), (AHp, AHi, AHw) = split_csr_light_heavy(graph, delta)
-    ws = workspace_for(graph)
-    # the min kernel's workspace covers the whole state: the per-graph
-    # arena for one row, a fresh K·n one for several (dense waves then
-    # scatter-min instead of sorting)
-    min_ws = ws if row_len is None else RelaxWorkspace(len(t))
-    counters = {"buckets": 0, "phases": 0, "relaxations": 0, "updates": 0}
-    bq = BucketQueue(delta)
-    bq.push(seeds, t[seeds])
-
-    # repro: hot
-    def relax(indptr, indices, weights, frontier, bucket, hi):
-        targets, dists = gather_candidates(indptr, indices, weights, frontier, t, ws, row_len)
-        if targets is None:
-            return _EMPTY_V
-        counters["relaxations"] += len(targets)
-        uts, ubest = min_by_target(targets, dists, workspace=min_ws)
-        improved = ubest < t[uts]
-        uts = uts[improved]
-        ubest = ubest[improved]
-        counters["updates"] += len(uts)
-        t[uts] = ubest
-        if bucket is None:
-            bq.push(uts, ubest)
-            return uts
-        # light edges out of window i land at or above its floor, so < hi
-        # alone decides re-entry, and the rest fall into bucket i + 1
-        reenter = ubest < hi
-        bq.push_into(bucket + 1, uts[~reenter])
-        return uts[reenter]
-
-    while True:
-        i, frontier = bq.pop_bucket(t)
-        if i is None:
-            return counters
-        hi = (i + 1) * delta
-        counters["buckets"] += 1
-        chunks = []
-        # repro: hot
-        while len(frontier):
-            counters["phases"] += 1
-            chunks.append(frontier)
-            frontier = relax(ALp, ALi, ALw, frontier, i, hi)
-        settled = chunks[0] if len(chunks) == 1 else np.unique(np.concatenate(chunks))
-        counters["phases"] += 1
-        relax(AHp, AHi, AHw, settled, None, hi)
-
-
 def _resolve(graph: Graph, d: np.ndarray, seeds: np.ndarray, stepper: str, recorder) -> dict[str, int]:
     """Relax one seeded row on a registered stepper's ``resolve`` path."""
     from ..stepping import resolve_stepper_spec
@@ -391,8 +319,7 @@ def _repair_rows(graph, sources, distances, updates, delta, stepper, recorder) -
         rows[k] = dist
     if delta is None:
         delta = choose_delta(graph)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    check_delta(delta)
 
     batch = _prepare(graph, updates)
     seeded = [_seed_row(graph, int(src[k]), rows[k], batch) for k in range(k_rows)]

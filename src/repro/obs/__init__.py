@@ -25,9 +25,7 @@ the exchange, bench-only JSON):
                                        disabled path
 :mod:`~repro.obs.stage`                :class:`StageTimer` — the original
                                        per-stage accounting (§VI.C),
-                                       now bridging into the recorder;
-                                       ``repro.sssp.instrument`` is a
-                                       thin alias of this module
+                                       now bridging into the recorder
 :mod:`~repro.obs.report`               :func:`build_report` /
                                        :func:`render_markdown` /
                                        :func:`render_html` — a recorded

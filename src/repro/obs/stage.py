@@ -1,4 +1,4 @@
-"""Stage-level timing instrumentation (migrated from ``repro.sssp.instrument``).
+"""Stage-level timing instrumentation.
 
 The paper's §VI.C argument ("the matrix filtering operations on A_H and
 A_L were noted to consume 35-40% of the run time") needs a per-stage time

@@ -13,9 +13,10 @@ Algorithms and Implementations for Parallel Shortest Paths").
 One engine.  A batch solve is a repair whose state starts all-``inf``
 and whose seeds are the K sources, so :func:`batch_fused_delta_stepping`
 sets ``t[k·n + s_k] = 0`` on one flat K·n state and hands it to
-:func:`repro.dynamic.incremental.relax_rows` — the same K-row wave loop
-that repairs cached distances after a mutation, scheduled by one
-:class:`~repro.kernels.BucketQueue`.
+:func:`repro.sssp.fused.relax_rows` — the one K-row wave loop, scheduled
+by one :class:`~repro.kernels.BucketQueue`, that also runs the
+single-source solve (K=1) and repairs cached distances after a
+mutation.
 
 Dispatch (:func:`batch_delta_stepping`):
 
@@ -37,9 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dynamic.incremental import relax_rows
 from ..graphs.graph import Graph
-from ..sssp.delta import choose_delta
+from ..sssp.delta import check_delta, choose_delta
+from ..sssp.fused import relax_rows
 from ..sssp.result import INF, SSSPResult
 
 # min_by_target and split_csr_light_heavy stay bound here: perfbench's
@@ -119,11 +120,10 @@ def batch_fused_delta_stepping(graph: Graph, sources, delta: float = 1.0) -> Bat
     """Shared-wave batch engine: K sources relaxed as rows of one K·n state.
 
     Row k starts all-``inf`` except ``t[k·n + s_k] = 0``; the rows then
-    relax together through :func:`repro.dynamic.incremental.relax_rows`.
+    relax together through :func:`repro.sssp.fused.relax_rows`.
     Counters are those of the shared waves.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    check_delta(delta)
     src = _check_sources(graph, sources)
     K, n = len(src), graph.num_vertices
     if K * n > MAX_STATE_ENTRIES:

@@ -14,7 +14,20 @@ import numpy as np
 
 from ..graphs.graph import Graph
 
-__all__ = ["choose_delta", "DELTA_STRATEGIES", "dijkstra_equivalent_delta", "bellman_ford_equivalent_delta"]
+__all__ = ["check_delta", "choose_delta", "DELTA_STRATEGIES", "dijkstra_equivalent_delta", "bellman_ford_equivalent_delta"]
+
+
+def check_delta(delta: float) -> None:
+    """Reject a bucket width outside ``0 < Δ < inf`` (NaN included).
+
+    Bucket windows are ``[iΔ, (i+1)Δ)``: ``Δ = inf`` makes ``0·Δ`` NaN,
+    so bucket 0 drops its frontier and the solve quietly returns only
+    its sources, and ``Δ = NaN`` fails in the bucket queue with an
+    error that asks for a larger Δ.  The engine's entry points (solve,
+    batch, repair) share this one check.
+    """
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
 
 
 def dijkstra_equivalent_delta(graph: Graph) -> float:

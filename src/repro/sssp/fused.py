@@ -31,6 +31,19 @@ object from the hot loop.  The primitives themselves live in
   additionally count phantom empty buckets at misrounded float
   boundaries.)
 
+**K rows, one wave loop.**  :func:`relax_rows` is the repo's one
+delta-stepping bucket loop.  The paper writes a relaxation wave as
+``tReq = A_Lᵀ (min.+) (t ∘ tBi)``.  Stacking K distance vectors as the
+rows of one flat ``k·n + v`` state lifts that ``vxm`` to an ``mxm``:
+every row relaxes in shared light and heavy phases scheduled by one
+:class:`~repro.kernels.BucketQueue`, so the fixed cost of a wave
+(bucket pop, gather set-up, kernel dispatch) is paid once for all K
+rows.  Relaxations never cross rows, so each row's distances are those
+of its own run.  :func:`fused_delta_stepping` is the K=1 call (seed
+``t[source] = 0``); a batch solve (:mod:`repro.service.batch`) seeds
+``t[k·n + s_k] = 0``; a repair (:mod:`repro.dynamic.incremental`)
+seeds each row from its invalidated, update-lowered cached distances.
+
 Both paper fusions stay independently toggleable so the fusion ablation
 (ABL-FUSE in DESIGN.md) can attribute the speedup:
 
@@ -57,17 +70,19 @@ from ..kernels import (
     workspace_for,
 )
 from ..obs.stage import NO_TIMER, StageTimer
+from .delta import check_delta
 from .result import INF, SSSPResult
 
 __all__ = [
     "fused_delta_stepping",
+    "relax_rows",
     "split_csr_light_heavy",
     "build_light_csr",
     "build_heavy_csr",
 ]
 
-#: shared empty frontier — the fused relax's edgeless-wave return, so the
-#: hot loop never constructs a fresh empty array (``hot-loop-alloc`` rule)
+#: shared empty frontier — the relax waves' edgeless return, so the hot
+#: loop never constructs a fresh empty array (``hot-loop-alloc`` rule)
 _EMPTY_V = np.empty(0, dtype=np.int64)
 
 
@@ -121,6 +136,145 @@ def build_heavy_csr(graph: Graph, delta: float):
     return _compact_csr(graph, graph.weights > delta)
 
 
+def relax_rows(
+    graph: Graph,
+    t: np.ndarray,
+    seeds: np.ndarray,
+    delta: float,
+    *,
+    kernel: str = "auto",
+    fuse_relax: bool = True,
+    fuse_matrix_split: bool = True,
+    workspace: RelaxWorkspace | None = None,
+    timer=NO_TIMER,
+    recorder=None,
+) -> dict[str, int]:
+    """Relax the seeded flat state *t* in place to quiescence.
+
+    *t* holds K rows of n distances (``key = k·n + v``) and *seeds* the
+    unique keys whose distance was lowered since *t* was last quiescent
+    (an all-``inf`` state is quiescent, so a solve seeds its sources).
+    All rows share each light and heavy phase and one
+    :class:`~repro.kernels.BucketQueue`.  Returns the
+    ``buckets``/``phases``/``relaxations``/``updates`` counters of the
+    shared waves; ``buckets`` counts non-empty buckets only.
+
+    The keywords are those of :func:`fused_delta_stepping`: *kernel*,
+    the two fusion toggles, *workspace* (replaces the per-graph arena),
+    the stage *timer* and a truthy *recorder*, which adds one ``bucket``
+    span per non-empty bucket (index, frontier size, phase count).  The
+    min kernel's workspace covers the whole state: the arena for one
+    row, a fresh K·n one for several.
+    """
+    n = graph.num_vertices
+    row_len = n if len(t) > n else None
+    (ALp, ALi, ALw), (AHp, AHi, AHw) = split_csr_light_heavy(
+        graph, delta, fused=fuse_matrix_split, timer=timer
+    )
+    ws = workspace if workspace is not None else workspace_for(graph)
+    min_ws = ws if row_len is None else RelaxWorkspace(len(t))
+    # dense scratch for the unfused ablation only; the fused relax needs
+    # no full-length temporaries at all
+    in_bucket = None if fuse_relax else np.zeros(len(t), dtype=bool)
+    counters = {"buckets": 0, "phases": 0, "relaxations": 0, "updates": 0}
+    bq = BucketQueue(delta)
+    bq.push(seeds, t[seeds])
+
+    # A wave relaxes *frontier* through one CSR; *bucket* is the light
+    # phase's window index, ``None`` for the heavy phase.
+    def relax_unfused(indptr, indices, weights, frontier, bucket):
+        """Unfused variant: full-length dense temporaries, one op per pass
+        (the op-by-op shape of Fig. 2, on dense storage)."""
+        targets, dists = gather_candidates(indptr, indices, weights, frontier, t, ws, row_len)
+        if targets is None:
+            return _EMPTY_V
+        counters["relaxations"] += len(targets)
+        # tReq materialized densely (the vxm output temporary)
+        with timer.stage("relax:tReq"):
+            tReq = np.full(len(t), INF, dtype=np.float64)
+            uts, ubest = min_by_target(targets, dists, workspace=min_ws, kernel=kernel)
+            tReq[uts] = ubest
+        # tless = tReq < t (full-vector pass)
+        with timer.stage("relax:tless"):
+            tless = tReq < t
+        # tBi = (lo <= tReq < hi) ∘ tless (full-vector pass)
+        with timer.stage("relax:tB"):
+            if bucket is not None:
+                np.logical_and(tReq >= bucket * delta, tReq < (bucket + 1) * delta, out=in_bucket)
+                np.logical_and(in_bucket, tless, out=in_bucket)
+        # t = min(t, tReq) (full-vector pass)
+        with timer.stage("relax:minmerge"):
+            counters["updates"] += int(np.count_nonzero(tless))
+            np.minimum(t, tReq, out=t)
+        if bucket is None:
+            improved_v = np.nonzero(tless)[0]
+            bq.push(improved_v, t[improved_v])
+            return improved_v
+        # improvements that left the window wait in bucket i + 1 (see
+        # the fused wave); in-window ones re-relax this phase loop
+        bq.push_into(bucket + 1, np.nonzero(tless & ~in_bucket)[0])
+        return np.nonzero(in_bucket)[0]
+
+    # repro: hot
+    def relax_fused(indptr, indices, weights, frontier, bucket):
+        """Fused variant: candidates → per-target min → filtered scatter,
+        one pass, no dense temporaries."""
+        with timer.stage("relax:fused", kernel=kernel, wave=int(len(frontier))):
+            targets, dists = gather_candidates(indptr, indices, weights, frontier, t, ws, row_len)
+            if targets is None:
+                return _EMPTY_V
+            counters["relaxations"] += len(targets)
+            uts, ubest = min_by_target(targets, dists, workspace=min_ws, kernel=kernel)
+            improved = ubest < t[uts]
+            uts = uts[improved]
+            ubest = ubest[improved]
+            counters["updates"] += len(uts)
+            t[uts] = ubest
+            if bucket is None:
+                bq.push(uts, ubest)
+                return uts
+            # light edges (≤Δ) out of window i land at or above its floor,
+            # so < hi alone decides re-entry, and the rest fall exactly
+            # into bucket i + 1 (no per-entry bucket index needed)
+            reenter = ubest < (bucket + 1) * delta
+            bq.push_into(bucket + 1, uts[~reenter])
+            return uts[reenter]
+
+    relax = relax_fused if fuse_relax else relax_unfused
+
+    while True:
+        with timer.stage("outer:check"):
+            # the lazy bucket queue hands back the next non-empty bucket
+            # (and its frontier) without rescanning the distance vector
+            i, frontier = bq.pop_bucket(t)
+            if i is None:
+                return counters
+        counters["buckets"] += 1
+        bspan = None
+        if recorder:
+            p0 = counters["phases"]
+            bspan = recorder.span(
+                "bucket", index=int(i), frontier=int(len(frontier))
+            ).__enter__()
+        # the paper's S, accumulated as the union of this bucket's phase
+        # frontiers — O(settled) per bucket, not an O(n) mask reset + scan;
+        # relax() returns only improved keys, so re-entry is correct
+        chunks = []
+        # repro: hot
+        while len(frontier):
+            counters["phases"] += 1
+            chunks.append(frontier)
+            frontier = relax(ALp, ALi, ALw, frontier, i)
+        with timer.stage("filter:settled"):
+            # a lone phase frontier is already unique and ascending
+            settled = chunks[0] if len(chunks) == 1 else np.unique(np.concatenate(chunks))
+        counters["phases"] += 1
+        relax(AHp, AHi, AHw, settled, None)
+        if bspan is not None:
+            bspan.set(phases=counters["phases"] - p0, settled=int(len(settled)))
+            bspan.__exit__(None, None, None)
+
+
 def fused_delta_stepping(
     graph: Graph,
     source: int,
@@ -134,138 +288,29 @@ def fused_delta_stepping(
 ) -> SSSPResult:
     """Sequential fused delta-stepping (the Fig. 3 "Fused C impl." series).
 
-    *kernel* picks the per-target min kernel (``auto``/``argsort``/
-    ``scatter``, see :mod:`repro.kernels.minby`); *workspace* overrides
-    the per-graph cached buffer arena (embedders that manage their own).
-    A truthy *recorder* (:mod:`repro.obs`) turns the :class:`StageTimer`
-    stages into trace spans and adds one ``bucket`` span per non-empty
-    bucket (index, frontier size, phase count) — the per-bucket timeline
-    the §VI.C stage totals can't show.  Recording never changes the
-    schedule or the distances.
+    The K=1 call into :func:`relax_rows`.  *kernel* picks the per-target
+    min kernel (``auto``/``argsort``/``scatter``, see
+    :mod:`repro.kernels.minby`); *workspace* overrides the per-graph
+    cached buffer arena (embedders that manage their own).  A truthy
+    *recorder* (:mod:`repro.obs`) turns the :class:`StageTimer` stages
+    into trace spans and adds one ``bucket`` span per non-empty bucket
+    (index, frontier size, phase count) — the per-bucket timeline the
+    §VI.C stage totals can't show.  Recording never changes the schedule
+    or the distances.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    check_delta(delta)
     n = graph.num_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
     check_kernel(kernel)
     timer = StageTimer(recorder=recorder) if (instrument or recorder) else NO_TIMER
-    ws = workspace if workspace is not None else workspace_for(graph)
-
-    (ALp, ALi, ALw), (AHp, AHi, AHw) = split_csr_light_heavy(
-        graph, delta, fused=fuse_matrix_split, timer=timer
-    )
-
     t = np.full(n, INF, dtype=np.float64)
     t[source] = 0.0
-    # dense scratch for the unfused ablation only; the fused relax needs
-    # no full-length temporaries at all
-    in_bucket = np.zeros(n, dtype=bool) if not fuse_relax else None
-    counters = {"buckets": 0, "phases": 0, "relaxations": 0, "updates": 0}
-    bq = BucketQueue(delta)
-    bq.push(np.array([source], dtype=np.int64), np.array([0.0]))
-
-    def relax_unfused(indptr, indices, weights, frontier, lo, hi, track_bucket):
-        """Unfused variant: full-length dense temporaries, one op per pass
-        (the op-by-op shape of Fig. 2, on dense storage)."""
-        targets, dists = gather_candidates(indptr, indices, weights, frontier, t, ws)
-        if targets is None:
-            return np.empty(0, dtype=np.int64)
-        counters["relaxations"] += len(targets)
-        # tReq materialized densely (the vxm output temporary)
-        with timer.stage("relax:tReq"):
-            tReq = np.full(n, INF, dtype=np.float64)
-            uts, ubest = min_by_target(targets, dists, workspace=ws, kernel=kernel)
-            tReq[uts] = ubest
-        # tless = tReq < t (full-vector pass)
-        with timer.stage("relax:tless"):
-            tless = tReq < t
-        # tBi = (lo <= tReq < hi) ∘ tless (full-vector pass)
-        with timer.stage("relax:tB"):
-            if track_bucket:
-                np.logical_and(tReq >= lo, tReq < hi, out=in_bucket)
-                np.logical_and(in_bucket, tless, out=in_bucket)
-        # t = min(t, tReq) (full-vector pass)
-        with timer.stage("relax:minmerge"):
-            counters["updates"] += int(np.count_nonzero(tless))
-            np.minimum(t, tReq, out=t)
-        if track_bucket:
-            # improvements that left the window wait in the bucket queue;
-            # a light edge (≤Δ) out of a window-i vertex can only land in
-            # bucket i+1, so the hint needs no per-entry bucket index.
-            # in-window ones re-relax this phase loop
-            outside = tless & ~in_bucket
-            bq.push_into(i + 1, np.nonzero(outside)[0])
-            return np.nonzero(in_bucket)[0]
-        improved_v = np.nonzero(tless)[0]
-        bq.push(improved_v, t[improved_v])
-        return improved_v
-
-    # repro: hot
-    def relax_fused(indptr, indices, weights, frontier, lo, hi, track_bucket):
-        """Fused variant: candidates → per-target min → filtered scatter,
-        one pass, no dense temporaries."""
-        with timer.stage("relax:fused", kernel=kernel, wave=int(len(frontier))):
-            targets, dists = gather_candidates(indptr, indices, weights, frontier, t, ws)
-            if targets is None:
-                return _EMPTY_V
-            counters["relaxations"] += len(targets)
-            uts, ubest = min_by_target(targets, dists, workspace=ws, kernel=kernel)
-            improved = ubest < t[uts]
-            uts = uts[improved]
-            ubest = ubest[improved]
-            counters["updates"] += len(uts)
-            t[uts] = ubest
-            if track_bucket:
-                # every in-window candidate is >= lo (non-negative light
-                # edges out of window-i vertices), so < hi alone decides
-                # re-entry, and non-re-entrants land exactly in bucket i+1
-                reenter = ubest < hi
-                bq.push_into(i + 1, uts[~reenter])
-                return uts[reenter]
-            bq.push(uts, ubest)
-            return uts
-
-    relax = relax_fused if fuse_relax else relax_unfused
-
-    while True:
-        with timer.stage("outer:check"):
-            # the lazy bucket queue hands back the next non-empty bucket
-            # (and its frontier) without rescanning the distance vector
-            i, frontier = bq.pop_bucket(t)
-            if i is None:
-                break
-            lo, hi = i * delta, (i + 1) * delta
-        counters["buckets"] += 1
-        bspan = None
-        if recorder:
-            p0 = counters["phases"]
-            bspan = recorder.span(
-                "bucket", index=int(i), frontier=int(len(frontier))
-            ).__enter__()
-        # the paper's S, accumulated as the union of this bucket's phase
-        # frontiers — O(settled) per bucket, not an O(n) mask reset + scan
-        settled_chunks = []
-        while len(frontier):
-            counters["phases"] += 1
-            settled_chunks.append(frontier)
-            frontier = relax(ALp, ALi, ALw, frontier, lo, hi, track_bucket=True)
-            # vertices already settled this bucket do not re-enter the
-            # frontier unless their distance actually dropped into range —
-            # relax() guarantees improvement, so re-entry is correct.
-        with timer.stage("filter:settled"):
-            if len(settled_chunks) <= 1:
-                # a phase frontier is already unique and ascending
-                settled = settled_chunks[0] if settled_chunks else np.empty(0, dtype=np.int64)
-            else:
-                settled = np.unique(np.concatenate(settled_chunks))
-        if len(settled):
-            counters["phases"] += 1
-            relax(AHp, AHi, AHw, settled, lo, hi, track_bucket=False)
-        if bspan is not None:
-            bspan.set(phases=counters["phases"] - p0, settled=int(len(settled)))
-            bspan.__exit__(None, None, None)
-
+    counters = relax_rows(
+        graph, t, np.array([source], dtype=np.int64), delta,
+        kernel=kernel, fuse_relax=fuse_relax, fuse_matrix_split=fuse_matrix_split,
+        workspace=workspace, timer=timer, recorder=recorder,
+    )
     return SSSPResult(
         distances=t,
         source=source,

@@ -43,11 +43,9 @@ __all__ = ["DEFAULT_CANDIDATES", "ProbeRow", "TuningReport", "AutoTuner", "best_
 #: registered steppers but not default candidates: the first is the
 #: paper's deliberately-unfused formulation, the second a Python-loop
 #: oracle — both lose by construction, so probing them is pure overhead.
-#: The sharded backend races at two shard counts (partition-parallel is
-#: only worth picking when the exchange volume stays paid for); its specs
-#: pin ``transport=threads`` so a consumer executing the pick runs the
-#: same pooled configuration the probe measured — the probe's shared
-#: pool and the spec's transport resolve to the same ``get_pool`` pool.
+#: ``sharded`` is left out too: on every CI graph of the STEP bench its
+#: specs took 2.7–7.3× the best time and were never picked; pass its
+#: specs as explicit candidates to race it.
 #: ``delta(kernel=scatter)`` races the classic stepper with the O(m)
 #: scatter-min kernel pinned, so the per-target-min kernel is one more
 #: knob the tuner settles per graph (the bare names use the density
@@ -59,8 +57,6 @@ DEFAULT_CANDIDATES = (
     "rho",
     "radius",
     "bellman-ford",
-    "sharded(shards=2,transport=threads)",
-    "sharded(shards=4,partitioner=bfs,transport=threads)",
 )
 
 

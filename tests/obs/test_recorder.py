@@ -134,27 +134,3 @@ class TestStageTimerBridge:
         with NO_TIMER.stage("s", kernel="scatter", wave=9):
             pass
         assert NO_TIMER.as_dict() == {}
-
-
-class TestInstrumentAlias:
-    def test_sssp_instrument_reexports_obs_stage(self):
-        import warnings
-
-        from repro.obs import stage
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.sssp import instrument
-
-        assert instrument.StageTimer is stage.StageTimer
-        assert instrument.NullTimer is stage.NullTimer
-        assert instrument.NO_TIMER is stage.NO_TIMER
-
-    def test_sssp_instrument_import_emits_deprecation_warning(self):
-        import importlib
-        import sys
-
-        # evict so the module-level warning re-fires for this import
-        sys.modules.pop("repro.sssp.instrument", None)
-        with pytest.warns(DeprecationWarning, match="repro.obs.stage"):
-            importlib.import_module("repro.sssp.instrument")

@@ -18,6 +18,37 @@ from repro.obs.stage import NO_TIMER, StageTimer
 from repro.sssp.result import SSSPResult
 
 
+def _bad_delta_calls():
+    """Every entry point of the delta-stepping engine, as ``call(g, delta)``."""
+    from repro.dynamic import apply_edge_updates, repair_many, repair_sssp
+    from repro.service.batch import batch_delta_stepping
+    from repro.stepping import solve_with
+
+    def repair_noop(g, delta):
+        d0 = fused_delta_stepping(g, 0, 1.0).distances
+        repair_many(g, [0], [d0], apply_edge_updates(g), delta=delta)
+
+    def repair_one(g, delta):
+        d0 = fused_delta_stepping(g, 0, 1.0).distances
+        repair_sssp(g, 0, d0, apply_edge_updates(g, reweights=[(0, 1, 4.0)]), delta=delta)
+
+    return {
+        "fused_delta_stepping": lambda g, delta: fused_delta_stepping(g, 0, delta),
+        "solve_with(delta)": lambda g, delta: solve_with("delta", g, 0, delta=delta),
+        "batch_delta_stepping": lambda g, delta: batch_delta_stepping(g, [0, 1], delta),
+        "repair_many": repair_noop,
+        "repair_sssp": repair_one,
+    }
+
+
+class TestDeltaValidation:
+    @pytest.mark.parametrize("entry", sorted(_bad_delta_calls()))
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_delta_rejected(self, diamond_graph, entry, delta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            _bad_delta_calls()[entry](diamond_graph, delta)
+
+
 class TestDeltaHeuristics:
     def test_auto_unit_weights_is_one(self):
         assert choose_delta(gen.grid_2d(4, 4)) == 1.0

@@ -115,6 +115,16 @@ class TestInstrumentation:
         r = fused_delta_stepping(grid_graph, 0, 1.0, instrument=True)
         assert r.profile
         assert any(k.startswith("relax") for k in r.profile)
+        # the exact stage labels the Fig. 3 and §VI.C PROFILE harness read
+        assert set(r.profile) == {
+            "filter:split", "outer:check", "relax:fused", "filter:settled",
+        }
+        sec6c = fused_delta_stepping(
+            grid_graph, 0, 1.0, fuse_matrix_split=False, instrument=True
+        )
+        assert set(sec6c.profile) == {
+            "filter:AL", "filter:AH", "outer:check", "relax:fused", "filter:settled",
+        }
 
     def test_unfused_profile_includes_matrix_filters(self, grid_graph):
         r = graphblas_delta_stepping(grid_graph, 0, 1.0, instrument=True)
