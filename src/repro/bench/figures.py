@@ -20,7 +20,7 @@ from ..sssp.fused import fused_delta_stepping
 from ..sssp.graphblas_sssp import graphblas_delta_stepping
 from ..sssp.parallel import parallel_delta_stepping
 from .reporting import ascii_bar_chart, format_table, geometric_mean
-from .timing import time_callable
+from .timing import cold_split, time_callable
 from .workloads import Workload, suite_workloads
 
 __all__ = [
@@ -47,7 +47,7 @@ def fig3_series(
             repeats=repeats,
         )
         fused = time_callable(
-            lambda: fused_delta_stepping(wl.graph, wl.source, wl.delta),
+            cold_split(wl.graph, lambda: fused_delta_stepping(wl.graph, wl.source, wl.delta)),
             repeats=repeats,
         )
         if verify:
@@ -94,7 +94,7 @@ def fig4_series(
                 row[f"speedup_{t}t"] = r.extra["simulated_speedup"]
         else:
             seq = time_callable(
-                lambda: fused_delta_stepping(wl.graph, wl.source, wl.delta),
+                cold_split(wl.graph, lambda: fused_delta_stepping(wl.graph, wl.source, wl.delta)),
                 repeats=repeats,
             )
             for t in threads:

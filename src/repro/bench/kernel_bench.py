@@ -30,7 +30,7 @@ from ..sssp.fused import fused_delta_stepping
 from ..sssp.reference import dijkstra
 from ..sssp.result import INF, SSSPResult
 from .reporting import format_table
-from .timing import time_callable
+from .timing import cold_split, time_callable
 from .workloads import Workload, suite_workloads
 
 __all__ = [
@@ -165,13 +165,15 @@ def seed_fused_delta_stepping(graph: Graph, source: int, delta: float = 1.0) -> 
 # The experiment
 # --------------------------------------------------------------------------
 
-#: the raced variants: name → solve callable factory ``(wl) -> fn``
+#: the raced variants: name → solve callable factory ``(wl) -> fn``.  The
+#: seed builds its split per call, so every kernel row does too.
 def _variants(wl: Workload):
+    g, s, d = wl.graph, wl.source, wl.delta
     return {
-        "seed": lambda: seed_fused_delta_stepping(wl.graph, wl.source, wl.delta),
-        "argsort": lambda: fused_delta_stepping(wl.graph, wl.source, wl.delta, kernel="argsort"),
-        "scatter": lambda: fused_delta_stepping(wl.graph, wl.source, wl.delta, kernel="scatter"),
-        "auto": lambda: fused_delta_stepping(wl.graph, wl.source, wl.delta, kernel="auto"),
+        "seed": lambda: seed_fused_delta_stepping(g, s, d),
+        "argsort": cold_split(g, lambda: fused_delta_stepping(g, s, d, kernel="argsort")),
+        "scatter": cold_split(g, lambda: fused_delta_stepping(g, s, d, kernel="scatter")),
+        "auto": cold_split(g, lambda: fused_delta_stepping(g, s, d, kernel="auto")),
     }
 
 

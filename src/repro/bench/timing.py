@@ -13,7 +13,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["TimingStats", "time_callable"]
+from ..sssp.fused import _SPLIT_KEY
+
+__all__ = ["TimingStats", "time_callable", "cold_split"]
 
 
 @dataclass(frozen=True)
@@ -68,3 +70,18 @@ def time_callable(
         mean=statistics.fmean(samples),
         repeats=len(samples),
     )
+
+
+def cold_split(graph, fn: Callable[[], object]) -> Callable[[], object]:
+    """*fn*, with *graph*'s cached light/heavy split dropped before each call.
+
+    For races against a baseline that builds ``A_L``/``A_H`` on every
+    call (the unfused GraphBLAS series, the frozen seed loop): each
+    timed fused call then builds its split too, like for like.
+    """
+
+    def call():
+        graph.meta.pop(_SPLIT_KEY, None)
+        return fn()
+
+    return call

@@ -91,7 +91,11 @@ class Graph:
         Mutation counter.  Starts at 0 and increases monotonically with
         every :func:`repro.dynamic.apply_edge_updates` batch; caches key
         derived answers on ``(id(graph), epoch)`` so stale entries miss
-        automatically after a mutation.
+        automatically after a mutation.  A raw in-place write to the CSR
+        arrays does not move it: after one, bump ``epoch`` (or call
+        :meth:`repro.service.QueryService.invalidate`), or the epoch-keyed
+        caches — cached distances, the light/heavy split, row ids —
+        keep describing the old graph.
     """
 
     indptr: np.ndarray

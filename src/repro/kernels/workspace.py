@@ -187,8 +187,8 @@ def cached_row_ids(graph: Any) -> NDArray[np.int64]:
     that needs each stored edge's source) used to recompute this O(m)
     expansion per call; it only changes when the sparsity pattern does,
     so it is cached per ``(graph, epoch)`` in ``graph.meta`` and
-    recomputed after mutations.  Treat the result as read-only — it is
-    shared by every caller.
+    recomputed after mutations.  The result is shared by every caller,
+    so it is read-only (an in-place write raises ``ValueError``).
     """
     entry: tuple[int, NDArray[np.int64]] | None = graph.meta.get(_ROW_IDS_KEY)
     if entry is not None:
@@ -196,5 +196,6 @@ def cached_row_ids(graph: Any) -> NDArray[np.int64]:
         if epoch == graph.epoch and len(ids) == graph.num_edges:
             return ids
     fresh: NDArray[np.int64] = graph.row_sources()
+    fresh.flags.writeable = False
     graph.meta[_ROW_IDS_KEY] = (graph.epoch, fresh)
     return fresh

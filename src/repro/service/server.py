@@ -54,6 +54,12 @@ __all__ = ["QueryResponse", "MutationReport", "ServiceStats", "QueryService", "R
 REPAIR_GROUP_ROWS = 16
 
 
+def _drop_derived_caches(graph: Graph) -> None:
+    """Delete every ``_``-prefixed derived cache from ``graph.meta``."""
+    for key in [k for k in graph.meta if isinstance(k, str) and k.startswith("_")]:
+        del graph.meta[key]
+
+
 @dataclass(frozen=True)
 class QueryResponse:
     """The answer to one :class:`~repro.service.planner.Query`.
@@ -736,8 +742,7 @@ class QueryService:
         g.weights = weights
         g.epoch = epoch
         self.delta = delta
-        for key in [k for k in g.meta if isinstance(k, str) and k.startswith("_")]:
-            del g.meta[key]
+        _drop_derived_caches(g)
         for (source, wmode), dist in harvested.items():
             self.cache.put(g, source, wmode, dist)
 
@@ -746,9 +751,15 @@ class QueryService:
     def invalidate(self) -> int:
         """Drop cached answers after a *raw* in-place graph mutation.
 
-        Batches applied through :meth:`mutate` never need this — the
-        epoch keying retires old entries automatically.
+        A raw write to the CSR arrays leaves :attr:`Graph.epoch` where it
+        was, so every epoch-keyed cache would keep answering for the old
+        graph: after one, call this (or bump ``graph.epoch``).  It drops
+        this service's cached distances and every ``_``-prefixed derived
+        cache in ``graph.meta`` (light/heavy split, row ids, shard
+        views).  Batches applied through :meth:`mutate` never need this
+        — the epoch keying retires old entries automatically.
         """
+        _drop_derived_caches(self.graph)
         return self.cache.invalidate(self.graph)
 
     def stats(self) -> ServiceStats:

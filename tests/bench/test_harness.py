@@ -32,6 +32,33 @@ class TestTiming:
         assert np.isclose(stats.best_ms, stats.best * 1e3)
 
 
+class TestColdSplit:
+    """Races against a per-call-split baseline time a real fused split."""
+
+    def test_every_call_builds(self, split_builds):
+        from repro.bench.timing import cold_split
+        from repro.sssp.fused import fused_delta_stepping
+
+        wl = workload_for("ci-ws")
+        solve = cold_split(wl.graph, lambda: fused_delta_stepping(wl.graph, wl.source, wl.delta))
+        for _ in range(3):
+            solve()
+        assert len(split_builds) == 3
+
+    def test_fig3_fused_series_builds_per_timed_call(self, split_builds):
+        fig3_series([workload_for("ci-ws")], repeats=2, verify=False)
+        assert len(split_builds) == 3  # one warmup + two timed calls
+
+    def test_kernel_rows_build_per_call(self, split_builds):
+        from repro.bench.kernel_bench import _variants
+
+        variants = _variants(workload_for("ci-ws"))
+        for name in ("argsort", "scatter", "auto"):
+            variants[name]()
+            variants[name]()
+        assert len(split_builds) == 6
+
+
 class TestWorkloads:
     def test_source_in_largest_component(self):
         wl = workload_for("ci-rmat")  # has many components

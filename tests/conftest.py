@@ -17,6 +17,23 @@ def _bench_json_to_tmp(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def split_builds(monkeypatch):
+    """Record every real light/heavy split build of the fused engine (its
+    ``fused`` flag), counted at the module-level name the engine calls."""
+    import repro.sssp.fused as fused
+
+    calls = []
+    real = fused.split_csr_light_heavy
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("fused", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fused, "split_csr_light_heavy", counting)
+    return calls
+
+
+@pytest.fixture
 def diamond_graph() -> Graph:
     """The 4-vertex weighted diamond used throughout the unit tests::
 

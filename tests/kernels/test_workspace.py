@@ -6,7 +6,7 @@ import pytest
 from repro.graphs import generators
 from repro.kernels import RelaxWorkspace, cached_row_ids, workspace_for
 from repro.kernels.workspace import _ROW_IDS_KEY, _WORKSPACE_KEY
-from repro.sssp.fused import fused_delta_stepping
+from repro.sssp.fused import _SPLIT_KEY, fused_delta_stepping
 from repro.sssp.reference import dijkstra
 
 
@@ -168,3 +168,144 @@ class TestPerGraphCaching:
         apply_edge_updates(g, deletes=[(0, 1)])
         r = fused_delta_stepping(g, 0, 1.0)
         assert np.array_equal(r.distances, dijkstra(g, 0).distances)
+
+
+    def test_row_ids_read_only(self, grid_graph):
+        ids = cached_row_ids(grid_graph)
+        with pytest.raises(ValueError):
+            ids[0] = 1
+
+
+def _weighted_grid():
+    from repro.graphs import assign_weights
+
+    return assign_weights(generators.grid_2d(8, 8), "uniform", low=1.0, high=10.0, seed=3)
+
+
+def _split_entry(g):
+    return g.meta[_SPLIT_KEY]
+
+
+class TestSplitCache:
+    """The per-(graph, epoch, Δ) light/heavy split cache of ``relax_rows``."""
+
+    def test_solve_batch_and_repair_share_one_entry(self, split_builds):
+        from repro.dynamic import apply_edge_updates, repair_many
+        from repro.service import batch_fused_delta_stepping
+
+        g = _weighted_grid()
+        r0 = fused_delta_stepping(g, 0, 4.0)
+        entry = _split_entry(g)
+        fused_delta_stepping(g, 5, 4.0)
+        assert _split_entry(g) is entry
+        batch_fused_delta_stepping(g, [0, 9, 17], 4.0)
+        assert _split_entry(g) is entry
+        assert split_builds == [True]
+        # a repair on a new epoch builds once; a batch on that epoch reuses it
+        applied = apply_edge_updates(g, reweights=[(0, 1, 9.5)])
+        repair_many(g, [0], [r0.distances], applied, delta=4.0)
+        entry = _split_entry(g)
+        assert entry[0][0] == g.epoch
+        batch_fused_delta_stepping(g, [3, 4], 4.0)
+        repair_many(g, [0], [r0.distances], applied, delta=4.0)
+        assert _split_entry(g) is entry
+        assert split_builds == [True, True]
+
+    def test_new_delta_replaces_entry(self):
+        g = _weighted_grid()
+        fused_delta_stepping(g, 0, 4.0)
+        old = _split_entry(g)
+        fused_delta_stepping(g, 0, 2.0)
+        new = _split_entry(g)
+        assert new is not old
+        assert new[0] == (g.epoch, 2.0, g.num_edges)
+        assert [k for k in g.meta if k == _SPLIT_KEY] == [_SPLIT_KEY]
+
+    @pytest.mark.parametrize("batch", [
+        {"deletes": [(0, 1)]},  # structural: CSR arrays replaced
+        {"reweights": [(0, 1, 9.5)]},  # pure reweight: weights written in place
+    ])
+    def test_mutation_forces_rebuild(self, batch):
+        from repro.dynamic import apply_edge_updates
+
+        g = _weighted_grid()
+        fused_delta_stepping(g, 0, 4.0)
+        old = _split_entry(g)
+        apply_edge_updates(g, **batch)
+        r = fused_delta_stepping(g, 0, 4.0)
+        assert _split_entry(g) is not old
+        assert _split_entry(g)[0][0] == g.epoch
+        assert np.array_equal(r.distances, dijkstra(g, 0).distances)
+
+    def test_copy_drops_entry(self):
+        g = _weighted_grid()
+        fused_delta_stepping(g, 0, 4.0)
+        assert _SPLIT_KEY not in g.copy().meta
+        assert _SPLIT_KEY not in g.with_weights(g.weights * 2).meta
+
+    def test_failed_mutation_rollback_drops_entry(self, monkeypatch):
+        import repro.service.server as server_mod
+        from repro.service import QueryService
+
+        g = _weighted_grid()
+        svc = QueryService(g, delta=4.0)
+        svc.query(0), svc.query(1)
+        real = server_mod.repair_many
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise RuntimeError("repair died")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(server_mod, "REPAIR_GROUP_ROWS", 1)
+        monkeypatch.setattr(server_mod, "repair_many", flaky)
+        with pytest.raises(RuntimeError):
+            svc.mutate(reweights=[(0, 1, 9.5)])
+        assert _SPLIT_KEY not in g.meta
+
+    @pytest.mark.parametrize("fuse_matrix_split, labels", [
+        (True, {"filter:split"}),
+        (False, {"filter:AL", "filter:AH"}),
+    ])
+    def test_measured_splits_bypass_cache(self, split_builds, fuse_matrix_split, labels):
+        g = _weighted_grid()
+        for _ in range(3):
+            r = fused_delta_stepping(
+                g, 0, 4.0, fuse_matrix_split=fuse_matrix_split, instrument=True
+            )
+            assert labels <= set(r.profile)
+        assert split_builds == [fuse_matrix_split] * 3
+        assert _SPLIT_KEY not in g.meta
+        fused_delta_stepping(g, 0, 4.0)  # populate, then measure again
+        entry = _split_entry(g)
+        fused_delta_stepping(g, 0, 4.0, fuse_matrix_split=False)
+        fused_delta_stepping(g, 0, 4.0, instrument=True)
+        assert _split_entry(g) is entry
+        assert len(split_builds) == 6
+
+    def test_cached_arrays_read_only(self):
+        g = _weighted_grid()
+        fused_delta_stepping(g, 0, 4.0)
+        (ALp, ALi, ALw), (AHp, AHi, AHw) = _split_entry(g)[1]
+        for arr in (ALp, ALi, ALw, AHp, AHi, AHw):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("kernel", ["argsort", "scatter", "auto"])
+    @pytest.mark.parametrize("fuse_relax", [False, True])
+    def test_cached_solve_matches_cache_free(self, kernel, fuse_relax):
+        g = _weighted_grid()
+        fused_delta_stepping(g, 0, 4.0)
+        entry = _split_entry(g)
+        for source in (0, 27, 63):
+            cached = fused_delta_stepping(g, source, 4.0, kernel=kernel, fuse_relax=fuse_relax)
+            free = fused_delta_stepping(
+                g.copy(), source, 4.0, kernel=kernel, fuse_relax=fuse_relax, instrument=True
+            )
+            assert np.array_equal(cached.distances, free.distances)
+            assert (cached.buckets_processed, cached.phases, cached.relaxations,
+                    cached.updates) == (free.buckets_processed, free.phases,
+                                        free.relaxations, free.updates)
+        assert _split_entry(g) is entry

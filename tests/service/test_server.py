@@ -144,6 +144,21 @@ class TestService:
         resp = svc.query(0, 1)
         assert not resp.from_cache
 
+    @pytest.mark.parametrize("stepper", ["delta", "sharded"])
+    def test_invalidate_after_raw_weight_edit_drops_derived_caches(self, stepper):
+        """A raw in-place weight write leaves the epoch alone; invalidate()
+        must also drop the epoch-keyed derived caches (split, shard views)."""
+        from repro.graphs import assign_weights, road_network
+
+        g = assign_weights(road_network(20, 20), "uniform", low=1.0, high=10.0)
+        svc = QueryService(g, stepper=stepper)
+        before = svc.query(0, 399).distance
+        g.weights[:] *= 3
+        svc.invalidate()
+        after = svc.query(0, 399).distance
+        assert after == dijkstra(g, 0).distances[399]
+        assert after == pytest.approx(3 * before)
+
     def test_source_validation(self, ws_graph):
         svc = QueryService(ws_graph)
         with pytest.raises(IndexError):
