@@ -12,7 +12,7 @@ A recorder bundles the two observability surfaces —
 the repo takes ``recorder=None`` and guards with plain truthiness::
 
     if recorder:
-        with recorder.span("relax-wave", kernel=kernel) as sp:
+        with recorder.span("bucket", index=i) as sp:
             ...
 
 so the disabled path (``None`` *or* :data:`NO_RECORDER`) costs one falsy

@@ -14,9 +14,11 @@ saved Chrome trace JSON) into one document:
   ``exchange`` spans carry the posted/carried/applied/bytes deltas of
   each flush round; the report tabulates them in superstep order (the
   wire profile a real transport would have to absorb);
-- **bucket occupancy and wave density** — the fused solver's ``bucket``
-  spans (frontier size, phases, settled) and every stepper's
-  ``relax-wave`` spans (wave sizes and relaxation counts per kernel);
+- **bucket occupancy and wave density** — the bucket loop's ``bucket``
+  spans (one per step: frontier size, phases, settled) and its
+  ``relax:fused`` wave spans (wave sizes and relaxation counts per
+  kernel), which every stepper on :func:`repro.sssp.fused.relax_rows`
+  emits;
 - **metrics summaries** — counters, gauges, and the p50/p90/p99
   histogram trio from the registry snapshot.
 
@@ -533,7 +535,8 @@ def _bucket_section(spans: Sequence[SpanDict], report: RunReport) -> None:
 
 
 def _wave_section(spans: Sequence[SpanDict], report: RunReport) -> None:
-    waves = _sorted_named(spans, "relax-wave")
+    # the bucket loop's per-wave span (also a §VI.C ``profile`` stage)
+    waves = _sorted_named(spans, "relax:fused")
     if not waves:
         return
     by_kernel: dict[str, dict[str, Any]] = {}

@@ -43,20 +43,22 @@ class StageTimer:
         self._recorder = recorder if recorder else None
 
     @contextmanager
-    def stage(self, label: str, **args: Any) -> Iterator[None]:
+    def stage(self, label: str, **args: Any) -> Iterator[Any]:
         """Context manager timing one stage occurrence.
 
         Extra keyword *args* are attached to the mirrored trace span
-        (and ignored when no recorder is bound).
+        (and ignored when no recorder is bound).  The context value is
+        that span, for args known only at the end (``None`` without a
+        recorder).
         """
         if label not in self.totals:
             self._order.append(label)
         span = self._recorder.span(label, **args) if self._recorder else None
         if span is not None:
-            span.__enter__()
+            span = span.__enter__()
         t0 = time.perf_counter()
         try:
-            yield
+            yield span
         finally:
             dt = time.perf_counter() - t0
             self.totals[label] += dt

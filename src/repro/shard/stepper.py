@@ -37,6 +37,7 @@ import numpy as np
 from ..graphs.graph import Graph
 from ..kernels import RelaxWorkspace, check_kernel, min_by_target
 from ..parallel.pool import BatchError
+from ..sssp.delta import check_delta
 from ..sssp.result import INF, SSSPResult
 from ..stepping.base import Stepper, new_counters, register_stepper
 from ..stepping.delta_star import default_delta_star
@@ -212,8 +213,7 @@ class ShardedDeltaStepper(Stepper):
         :class:`~repro.shard.exchange.ExchangeStats` deltas.
         """
         delta = delta if delta is not None else default_delta_star(graph)
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        check_delta(delta)
         check_kernel(kernel)
         if partitioner not in PARTITIONERS:
             raise ValueError(
@@ -262,7 +262,7 @@ class ShardedDeltaStepper(Stepper):
         ex = FrontierExchange(sg.num_shards, graph.num_vertices)
         owner = sg.owner
         mask = active.astype(bool, copy=True)
-        active[:] = False  # ownership transferred, as with LazyFrontier
+        active[:] = False  # consumed, as by every stepper's resolve
         counters = new_counters()
         # one workspace per shard: steps run concurrently on pooled
         # transports, and the scatter kernel's dense request vector must

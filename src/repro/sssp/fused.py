@@ -32,7 +32,7 @@ object from the hot loop.  The primitives themselves live in
   boundaries.)
 
 **K rows, one wave loop.**  :func:`relax_rows` is the repo's one
-delta-stepping bucket loop.  The paper writes a relaxation wave as
+bucket loop.  The paper writes a relaxation wave as
 ``tReq = A_Lᵀ (min.+) (t ∘ tBi)``.  Stacking K distance vectors as the
 rows of one flat ``k·n + v`` state lifts that ``vxm`` to an ``mxm``:
 every row relaxes in shared light and heavy phases scheduled by one
@@ -43,6 +43,16 @@ of its own run.  :func:`fused_delta_stepping` is the K=1 call (seed
 ``t[source] = 0``); a batch solve (:mod:`repro.service.batch`) seeds
 ``t[k·n + s_k] = 0``; a repair (:mod:`repro.dynamic.incremental`)
 seeds each row from its invalidated, update-lowered cached distances.
+
+**Policies: one loop, four schedules.**  Dong et al. 2021 cast Δ-, ρ-,
+radius- and Δ*-stepping as one loop: each step extracts the pending
+vertices with ``d ≤ θ``, and only the rule for θ differs.  *policy*
+``None`` is the Δ grid above.  A :class:`Threshold` is one of the other
+three (:mod:`repro.stepping`): its *pick* reads θ off the queue, and
+every wave relaxes the full ``graph.csr()``, never the split cache
+below.  In-window improvements re-relax inside the step for Δ* and
+radius, which then :meth:`~repro.kernels.BucketQueue.settle` the
+window; ρ's improvements all wait for the next step.
 
 **The split is cached per (graph, epoch, Δ).**  ``A_L``/``A_H`` depend
 only on the graph's weights and Δ, so an uninstrumented call
@@ -72,6 +82,8 @@ Both paper fusions stay independently toggleable so the fusion ablation
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from ..graphs.graph import Graph
@@ -91,6 +103,7 @@ from .result import INF, SSSPResult
 __all__ = [
     "fused_delta_stepping",
     "relax_rows",
+    "Threshold",
     "split_csr_light_heavy",
     "build_light_csr",
     "build_heavy_csr",
@@ -172,6 +185,20 @@ def _cached_split(graph: Graph, delta: float):
     return split
 
 
+class Threshold(NamedTuple):
+    """A non-grid schedule for :func:`relax_rows` (module docstring):
+    *pick* reads the next step's θ off the queue (``None``: nothing is
+    pending); *reenter*: improvements at or below θ re-relax in-step."""
+
+    pick: Callable[[BucketQueue, np.ndarray], float | None]
+    reenter: bool = True
+
+
+def _union(chunks: list[np.ndarray]) -> np.ndarray:
+    """The keys a step relaxed (a lone phase frontier is already unique)."""
+    return chunks[0] if len(chunks) == 1 else np.unique(np.concatenate(chunks))
+
+
 def relax_rows(
     graph: Graph,
     t: np.ndarray,
@@ -184,6 +211,7 @@ def relax_rows(
     workspace: RelaxWorkspace | None = None,
     timer=NO_TIMER,
     recorder=None,
+    policy: Threshold | None = None,
 ) -> dict[str, int]:
     """Relax the seeded flat state *t* in place to quiescence.
 
@@ -193,24 +221,28 @@ def relax_rows(
     All rows share each light and heavy phase and one
     :class:`~repro.kernels.BucketQueue`.  Returns the
     ``buckets``/``phases``/``relaxations``/``updates`` counters of the
-    shared waves; ``buckets`` counts non-empty buckets only.
+    shared waves; ``buckets`` counts non-empty buckets (steps) only.
 
     The keywords are those of :func:`fused_delta_stepping`: *kernel*,
     the two fusion toggles, *workspace* (replaces the per-graph arena),
     the stage *timer* and a truthy *recorder*, which adds one ``bucket``
-    span per non-empty bucket (index, frontier size, phase count).  The
-    min kernel's workspace covers the whole state: the arena for one
-    row, a fresh K·n one for several.  Without a timer or recorder the
-    fused split comes from the per-graph cache (module docstring).
+    span per step (index, frontier size, phase count, settled keys) and
+    tags each ``relax:fused`` wave span with its ``relaxations`` and
+    ``touched`` (improved) counts.  The min kernel's workspace covers
+    the whole state: the arena for one row, a fresh K·n one for several.
+    Without a timer or recorder the fused split comes from the per-graph
+    cache (module docstring).  A :class:`Threshold` *policy* replaces
+    the Δ grid (one row, fused relax); *delta* is then only the queue's
+    bucket width.
     """
     n = graph.num_vertices
     row_len = n if len(t) > n else None
-    if fuse_matrix_split and timer is NO_TIMER and not recorder:
-        (ALp, ALi, ALw), (AHp, AHi, AHw) = _cached_split(graph, delta)
+    if policy is not None:
+        light, heavy = graph.csr(), None
+    elif fuse_matrix_split and timer is NO_TIMER and not recorder:
+        light, heavy = _cached_split(graph, delta)
     else:
-        (ALp, ALi, ALw), (AHp, AHi, AHw) = split_csr_light_heavy(
-            graph, delta, fused=fuse_matrix_split, timer=timer
-        )
+        light, heavy = split_csr_light_heavy(graph, delta, fused=fuse_matrix_split, timer=timer)
     ws = workspace if workspace is not None else workspace_for(graph)
     min_ws = ws if row_len is None else RelaxWorkspace(len(t))
     # dense scratch for the unfused ablation only; the fused relax needs
@@ -220,11 +252,12 @@ def relax_rows(
     bq = BucketQueue(delta)
     bq.push(seeds, t[seeds])
 
-    # A wave relaxes *frontier* through one CSR; *bucket* is the light
-    # phase's window index, ``None`` for the heavy phase.
-    def relax_unfused(indptr, indices, weights, frontier, bucket):
-        """Unfused variant: full-length dense temporaries, one op per pass
-        (the op-by-op shape of Fig. 2, on dense storage)."""
+    # A wave relaxes *frontier* through one CSR and returns the improved
+    # keys below *hi* (``None``: none), which re-enter this step; the
+    # rest go to the queue (into ``bucket + 1`` for a Δ light phase).
+    def relax_unfused(indptr, indices, weights, frontier, hi, bucket):
+        """Unfused variant (Δ grid only): full-length dense temporaries,
+        one op per pass (the op-by-op shape of Fig. 2, on dense storage)."""
         targets, dists = gather_candidates(indptr, indices, weights, frontier, t, ws, row_len)
         if targets is None:
             return _EMPTY_V
@@ -240,7 +273,7 @@ def relax_rows(
         # tBi = (lo <= tReq < hi) ∘ tless (full-vector pass)
         with timer.stage("relax:tB"):
             if bucket is not None:
-                np.logical_and(tReq >= bucket * delta, tReq < (bucket + 1) * delta, out=in_bucket)
+                np.logical_and(tReq >= bucket * delta, tReq < hi, out=in_bucket)
                 np.logical_and(in_bucket, tless, out=in_bucket)
         # t = min(t, tReq) (full-vector pass)
         with timer.stage("relax:minmerge"):
@@ -249,17 +282,17 @@ def relax_rows(
         if bucket is None:
             improved_v = np.nonzero(tless)[0]
             bq.push(improved_v, t[improved_v])
-            return improved_v
+            return _EMPTY_V
         # improvements that left the window wait in bucket i + 1 (see
         # the fused wave); in-window ones re-relax this phase loop
         bq.push_into(bucket + 1, np.nonzero(tless & ~in_bucket)[0])
         return np.nonzero(in_bucket)[0]
 
     # repro: hot
-    def relax_fused(indptr, indices, weights, frontier, bucket):
+    def relax_fused(indptr, indices, weights, frontier, hi, bucket):
         """Fused variant: candidates → per-target min → filtered scatter,
         one pass, no dense temporaries."""
-        with timer.stage("relax:fused", kernel=kernel, wave=int(len(frontier))):
+        with timer.stage("relax:fused", kernel=kernel, wave=int(len(frontier))) as span:
             targets, dists = gather_candidates(indptr, indices, weights, frontier, t, ws, row_len)
             if targets is None:
                 return _EMPTY_V
@@ -270,25 +303,40 @@ def relax_rows(
             ubest = ubest[improved]
             counters["updates"] += len(uts)
             t[uts] = ubest
-            if bucket is None:
+            if span is not None:
+                span.set(relaxations=len(targets), touched=len(uts))
+            if hi is None:
                 bq.push(uts, ubest)
-                return uts
-            # light edges (≤Δ) out of window i land at or above its floor,
-            # so < hi alone decides re-entry, and the rest fall exactly
-            # into bucket i + 1 (no per-entry bucket index needed)
-            reenter = ubest < (bucket + 1) * delta
-            bq.push_into(bucket + 1, uts[~reenter])
+                return _EMPTY_V
+            reenter = ubest < hi
+            out = ~reenter
+            if bucket is None:
+                bq.push(uts[out], ubest[out])
+            else:
+                # light edges (≤Δ) out of window i land at or above its
+                # floor, so < hi alone decides re-entry, and the rest fall
+                # exactly into bucket i + 1 (no per-entry bucket index)
+                bq.push_into(bucket + 1, uts[out])
             return uts[reenter]
 
     relax = relax_fused if fuse_relax else relax_unfused
 
     while True:
         with timer.stage("outer:check"):
-            # the lazy bucket queue hands back the next non-empty bucket
-            # (and its frontier) without rescanning the distance vector
-            i, frontier = bq.pop_bucket(t)
-            if i is None:
-                return counters
+            if policy is None:
+                # the lazy bucket queue hands back the next non-empty
+                # bucket (and its frontier) without rescanning t
+                i, frontier = bq.pop_bucket(t)
+                if i is None:
+                    return counters
+                bucket, hi = i, (i + 1) * delta
+            else:
+                theta = policy.pick(bq, t)
+                if theta is None:
+                    return counters
+                frontier = bq.pop_upto(t, theta)  # θ ≥ the pending minimum
+                i, bucket = counters["buckets"], None
+                hi = float(np.nextafter(theta, INF)) if policy.reenter else None
         counters["buckets"] += 1
         bspan = None
         if recorder:
@@ -296,21 +344,27 @@ def relax_rows(
             bspan = recorder.span(
                 "bucket", index=int(i), frontier=int(len(frontier))
             ).__enter__()
-        # the paper's S, accumulated as the union of this bucket's phase
-        # frontiers — O(settled) per bucket, not an O(n) mask reset + scan;
+        # the paper's S, accumulated as the union of this step's phase
+        # frontiers — O(settled) per step, not an O(n) mask reset + scan;
         # relax() returns only improved keys, so re-entry is correct
         chunks = []
         # repro: hot
         while len(frontier):
             counters["phases"] += 1
             chunks.append(frontier)
-            frontier = relax(ALp, ALi, ALw, frontier, i)
-        with timer.stage("filter:settled"):
-            # a lone phase frontier is already unique and ascending
-            settled = chunks[0] if len(chunks) == 1 else np.unique(np.concatenate(chunks))
-        counters["phases"] += 1
-        relax(AHp, AHi, AHw, settled, None)
+            frontier = relax(*light, frontier, hi, bucket)
+        settled = None
+        if heavy is not None:
+            with timer.stage("filter:settled"):
+                settled = _union(chunks)
+            counters["phases"] += 1
+            relax(*heavy, settled, None, None)
+        elif policy.reenter:
+            # every key at or below θ was just relaxed at its final
+            # in-step distance: drop any hint still filed for one
+            bq.settle(theta)
         if bspan is not None:
+            settled = _union(chunks) if settled is None else settled
             bspan.set(phases=counters["phases"] - p0, settled=int(len(settled)))
             bspan.__exit__(None, None, None)
 

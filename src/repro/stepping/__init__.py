@@ -13,12 +13,10 @@ Module map
 ----------
 =====================================  =======================================
 :mod:`~repro.stepping.base`            the :class:`Stepper` contract
-                                       (solve/resolve), the shared relax
-                                       wave, and the :data:`STEPPERS`
-                                       registry every consumer enumerates
-:mod:`~repro.stepping.frontier`        :class:`LazyFrontier` — dense
-                                       lazy-batched priority frontier with
-                                       decrease-key-free updates
+                                       (solve/resolve), the policy resolve
+                                       on the one bucket loop, and the
+                                       :data:`STEPPERS` registry every
+                                       consumer enumerates
 :mod:`~repro.stepping.rho_stepping`    ρ-stepping: extract the ρ nearest
                                        active vertices per step
 :mod:`~repro.stepping.radius_stepping` radius-stepping: per-vertex k-radius
@@ -29,6 +27,11 @@ Module map
                                        portfolio, fit per-graph costs,
                                        expose the best pick
 =====================================  =======================================
+
+The three framework steppers are threshold policies of the repo's one
+bucket loop, :func:`repro.sssp.fused.relax_rows` (its module docstring,
+"Policies"): each step extracts every pending vertex with ``d ≤ θ``,
+and only the rule that picks θ differs.
 
 Entry points::
 
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from ..sssp.fused import fused_delta_stepping
 from ..sssp.graphblas_sssp import graphblas_delta_stepping
-from ..sssp.delta import choose_delta
+from ..sssp.delta import check_delta, choose_delta
 from ..sssp.reference import bellman_ford, dijkstra
 from ..sssp.result import SSSPResult
 from .autotune import DEFAULT_CANDIDATES, AutoTuner, ProbeRow, TuningReport, best_stepper
@@ -63,7 +66,6 @@ from .base import (
     stepper_names,
 )
 from .delta_star import DeltaStarStepper, default_delta_star, delta_star_stepping
-from .frontier import LazyFrontier
 from .radius_stepping import RadiusStepper, radius_stepping, vertex_radii
 from .rho_stepping import RhoStepper, default_rho, rho_stepping
 
@@ -78,7 +80,6 @@ __all__ = [
     "parse_stepper_spec",
     "resolve_stepper_spec",
     "solve_with",
-    "LazyFrontier",
     "rho_stepping",
     "default_rho",
     "RhoStepper",
@@ -114,9 +115,11 @@ def _fused_auto(graph, source, delta=None, **kw):
 
 
 def _graphblas_auto(graph, source, delta=None, **kw):
-    return graphblas_delta_stepping(
-        graph, source, delta if delta is not None else choose_delta(graph), **kw
-    )
+    delta = delta if delta is not None else choose_delta(graph)
+    # the Fig. 2 pipeline's own check lets a NaN Δ through, and its
+    # bucket windows then quietly drop every vertex but the source
+    check_delta(delta)
+    return graphblas_delta_stepping(graph, source, delta, **kw)
 
 
 # -- registry assembly: new framework members + adopted legacy solvers -------

@@ -4,11 +4,15 @@ The paper treats Δ-stepping as a single algorithm; Dong, Gu, Sun & Zhang
 ("Efficient Stepping Algorithms and Implementations for Parallel Shortest
 Paths", 2021) show it is one point in a *family*: every member repeats
 
-1. **step** — pick a batch of active vertices (a bucket, the ρ nearest,
-   a radius-bounded range …);
+1. **step** — pick a bound θ and extract every active vertex with
+   ``d ≤ θ`` (a Δ bucket, the ρ nearest, a radius-bounded range …);
 2. **relax** — generate the batch's relaxation requests and min-merge
    them into the tentative distances;
 3. re-activate whichever vertices improved.
+
+Only the rule for θ differs, so each framework stepper is a
+:class:`~repro.sssp.fused.Threshold` policy of the one bucket loop,
+:func:`repro.sssp.fused.relax_rows` (:meth:`Stepper._relax_policy`).
 
 :class:`Stepper` pins that loop down as an interface.  The load-bearing
 method is :meth:`Stepper.resolve`: *run the schedule from an arbitrary
@@ -35,7 +39,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..graphs.graph import Graph
-from ..kernels import RelaxWorkspace, gather_candidates, min_by_target
+from ..kernels import check_kernel
+from ..obs.stage import NO_TIMER, StageTimer
+from ..sssp.delta import choose_delta
+from ..sssp.fused import Threshold, relax_rows
 from ..sssp.result import INF, SSSPResult
 
 __all__ = [
@@ -46,7 +53,6 @@ __all__ = [
     "get_stepper",
     "stepper_names",
     "format_known",
-    "relax_wave",
     "new_counters",
     "parse_stepper_spec",
     "resolve_stepper_spec",
@@ -64,66 +70,6 @@ def new_counters() -> dict[str, Any]:
     vocabulary: ``steps`` are outer batches (buckets for Δ-steppers),
     ``phases`` inner relaxation waves."""
     return {"steps": 0, "phases": 0, "relaxations": 0, "updates": 0}
-
-
-def relax_wave(
-    indptr: NDArray[np.int64],
-    indices: NDArray[np.int64],
-    weights: NDArray[np.float64],
-    frontier: NDArray[np.int64],
-    dist: NDArray[np.float64],
-    counters: dict[str, Any],
-    workspace: RelaxWorkspace | None = None,
-    kernel: str = "auto",
-    recorder: Any = None,
-) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
-    """One relaxation wave: all requests out of *frontier*, min-merged.
-
-    The shared relax half of the step/relax contract — the same fused
-    gather → per-target min → filtered scatter as the paper's kernel
-    (:func:`repro.sssp.fused.fused_delta_stepping`), operating in place
-    on *dist*.  Both halves run on :mod:`repro.kernels`: *workspace*
-    supplies the reusable wave buffers and *kernel* picks the per-target
-    min implementation (``auto``/``argsort``/``scatter``).  Returns
-    ``(improved_targets, their_new_distances)``.
-
-    This is also the observability choke point shared by every
-    framework stepper: a truthy *recorder* (:mod:`repro.obs`) gets one
-    ``relax-wave`` span per call carrying the kernel name, wave size,
-    and relaxation/touched counts; the disabled path costs one falsy
-    check.
-    """
-    if recorder:
-        r0 = counters["relaxations"]
-        with recorder.span("relax-wave", kernel=kernel, wave=int(len(frontier))) as sp:
-            uts, ubest = _relax_wave(
-                indptr, indices, weights, frontier, dist, counters, workspace, kernel
-            )
-            sp.set(relaxations=counters["relaxations"] - r0, touched=int(len(uts)))
-        return uts, ubest
-    return _relax_wave(indptr, indices, weights, frontier, dist, counters, workspace, kernel)
-
-
-def _relax_wave(
-    indptr: NDArray[np.int64],
-    indices: NDArray[np.int64],
-    weights: NDArray[np.float64],
-    frontier: NDArray[np.int64],
-    dist: NDArray[np.float64],
-    counters: dict[str, Any],
-    workspace: RelaxWorkspace | None,
-    kernel: str,
-) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
-    targets, dists = gather_candidates(indptr, indices, weights, frontier, dist, workspace)
-    if targets is None or dists is None:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    counters["relaxations"] += len(targets)
-    uts, ubest = min_by_target(targets, dists, workspace=workspace, kernel=kernel)
-    improved = ubest < dist[uts]
-    uts, ubest = uts[improved], ubest[improved]
-    counters["updates"] += len(uts)
-    dist[uts] = ubest
-    return uts, ubest
 
 
 class Stepper(ABC):
@@ -195,6 +141,38 @@ class Stepper(ABC):
         """The parameter values a bare ``solve(graph, source)`` will use
         (reported by the bench so runs are reproducible)."""
         return {}
+
+    def _relax_policy(
+        self,
+        graph: Graph,
+        dist: NDArray[np.float64],
+        active: NDArray[np.bool_],
+        policy: Threshold,
+        kernel: str,
+        recorder: Any,
+        width: float | None = None,
+    ) -> dict[str, Any]:
+        """``resolve`` as one K=1 :func:`~repro.sssp.fused.relax_rows`
+        call under *policy*, seeded from the *active* mask (consumed).
+        Any queue *width* gives the same schedule; the default, the
+        auto-Δ, keeps reading θ to a few buckets."""
+        check_kernel(kernel)
+        if active.shape != dist.shape:
+            raise ValueError("active mask must match the distance array")
+        if width is None:
+            width = float(choose_delta(graph))
+            width = width if 0 < width < INF else 1.0  # NaN/inf weights
+        seeds = np.flatnonzero(active & (dist < INF))  # inf has nothing to relax
+        active[:] = False
+        timer = StageTimer(recorder=recorder) if recorder else NO_TIMER
+        c = relax_rows(
+            graph, dist, seeds, width, kernel=kernel, timer=timer, recorder=recorder,
+            policy=policy,
+        )
+        return {
+            "steps": c["buckets"], "phases": c["phases"],
+            "relaxations": c["relaxations"], "updates": c["updates"],
+        }
 
     def _seeded_solve(
         self, graph: Graph, source: int, method: str, **params: Any

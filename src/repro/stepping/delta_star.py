@@ -30,11 +30,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import check_kernel, workspace_for
-from ..sssp.delta import choose_delta
+from ..kernels import BucketQueue
+from ..sssp.delta import check_delta, choose_delta
+from ..sssp.fused import Threshold
 from ..sssp.result import SSSPResult
-from .base import Stepper, new_counters, relax_wave
-from .frontier import LazyFrontier
+from .base import Stepper
 
 __all__ = ["delta_star_stepping", "default_delta_star", "DeltaStarStepper"]
 
@@ -51,6 +51,17 @@ def default_delta_star(graph: Graph) -> float:
 def delta_star_stepping(graph: Graph, source: int, delta: float | None = None) -> SSSPResult:
     """Run Δ*-stepping SSSP from *source* (``delta=None`` → auto, widened)."""
     return DeltaStarStepper().solve(graph, source, delta=delta)
+
+
+def _window(delta: float) -> Threshold:
+    """θ = the nearest pending distance + Δ (never an empty window)."""
+
+    def pick(bq: BucketQueue, t: np.ndarray) -> float | None:
+        for _, _, d in bq.scan(t):
+            return float(d.min()) + delta
+        return None
+
+    return Threshold(pick)
 
 
 class DeltaStarStepper(Stepper):
@@ -78,33 +89,8 @@ class DeltaStarStepper(Stepper):
         recorder=None,
     ) -> dict:
         delta = delta if delta is not None else default_delta_star(graph)
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        check_kernel(kernel)
-        ws = workspace_for(graph)
-        indptr, indices, weights = graph.csr()
-        frontier = LazyFrontier(dist, active)
-        active[:] = False  # ownership transferred to the frontier
-        counters = new_counters()
-        while frontier:
-            counters["steps"] += 1
-            # the window anchors at the nearest active distance — every
-            # step is non-empty by construction (no empty-bucket skipping)
-            bound = frontier.peek_min() + delta
-            batch = frontier.pop_below(bound)
-            while len(batch):
-                counters["phases"] += 1
-                improved, new_d = relax_wave(
-                    indptr, indices, weights, batch, dist, counters, workspace=ws,
-                    kernel=kernel, recorder=recorder,
-                )
-                in_window = new_d <= bound
-                frontier.push(improved[~in_window])
-                batch = improved[in_window]
-                # in-window improvements re-relax this phase loop, so they
-                # must not also wait as pending frontier entries
-                frontier.active[batch] = False
-        return counters
+        check_delta(delta)
+        return self._relax_policy(graph, dist, active, _window(delta), kernel, recorder, delta)
 
     def default_params(self, graph: Graph) -> dict:
         return {"delta": default_delta_star(graph)}

@@ -28,10 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import cached_row_ids, check_kernel, workspace_for
-from ..sssp.result import SSSPResult
-from .base import Stepper, new_counters, relax_wave
-from .frontier import LazyFrontier
+from ..kernels import BucketQueue, cached_row_ids
+from ..sssp.fused import Threshold
+from ..sssp.result import INF, SSSPResult
+from .base import Stepper
 
 __all__ = ["radius_stepping", "vertex_radii", "default_k", "RadiusStepper"]
 
@@ -77,6 +77,23 @@ def radius_stepping(graph: Graph, source: int, k: int | None = None) -> SSSPResu
     return RadiusStepper().solve(graph, source, k=k)
 
 
+def _radius_bound(radii: np.ndarray) -> Threshold:
+    """θ = min over pending v of ``d(v) + r(v)``, never below the pending
+    minimum; a bucket starting above the best bound so far cannot lower it."""
+
+    def pick(bq: BucketQueue, t: np.ndarray) -> float | None:
+        best, lowest = INF, None
+        for lo, keys, d in bq.scan(t):
+            if lo > best:
+                break
+            if lowest is None:
+                lowest = float(d.min())
+            best = min(best, float(np.min(d + radii[keys])))
+        return None if lowest is None else max(best, lowest)
+
+    return Threshold(pick)
+
+
 class RadiusStepper(Stepper):
     """The radius-stepping member of the framework (see module docstring)."""
 
@@ -102,36 +119,8 @@ class RadiusStepper(Stepper):
         kernel: str = "auto",
         recorder=None,
     ) -> dict:
-        check_kernel(kernel)
-        ws = workspace_for(graph)
-        indptr, indices, weights = graph.csr()
-        radii = vertex_radii(graph, k)
-        frontier = LazyFrontier(dist, active)
-        active[:] = False  # ownership transferred to the frontier
-        counters = new_counters()
-        while frontier:
-            counters["steps"] += 1
-            verts = frontier.vertices()
-            d_active = dist[verts]
-            # the step bound; the max() keeps it >= the nearest active
-            # vertex (all correctness needs) when every radius is infinite
-            bound = max(float(np.min(d_active + radii[verts])), float(d_active.min()))
-            batch = frontier.pop_below(bound)
-            while len(batch):
-                counters["phases"] += 1
-                improved, new_d = relax_wave(
-                    indptr, indices, weights, batch, dist, counters, workspace=ws,
-                    kernel=kernel, recorder=recorder,
-                )
-                # improvements inside the range re-relax this step; the
-                # rest wait in the frontier for a later step
-                in_range = new_d <= bound
-                frontier.push(improved[~in_range])
-                batch = improved[in_range]
-                # a pending frontier vertex pulled into range is handled
-                # by this substep loop now, not by a later extraction
-                frontier.active[batch] = False
-        return counters
+        policy = _radius_bound(vertex_radii(graph, k))
+        return self._relax_policy(graph, dist, active, policy, kernel, recorder)
 
     def default_params(self, graph: Graph) -> dict:
         return {"k": default_k(graph)}

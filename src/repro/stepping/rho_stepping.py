@@ -16,8 +16,8 @@ the degree mass of ρ vertices regardless of how distances cluster, so
 there is no Δ to mistune on graphs whose edge-weight scale varies across
 regions.  The price is that an extracted vertex may be re-extracted after
 a later improvement — the same label-correcting bet Δ-stepping makes
-inside a bucket, here made globally and paid for by the lazy frontier's
-O(active) batch extraction (:mod:`repro.stepping.frontier`).
+inside a bucket, here made globally (every improvement waits for the
+next step of :func:`repro.sssp.fused.relax_rows`).
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import check_kernel, workspace_for
-from ..sssp.result import SSSPResult
-from .base import Stepper, new_counters, relax_wave
-from .frontier import LazyFrontier
+from ..kernels import BucketQueue
+from ..sssp.fused import Threshold
+from ..sssp.result import INF, SSSPResult
+from .base import Stepper
 
 __all__ = ["rho_stepping", "default_rho", "RhoStepper"]
 
@@ -48,6 +48,25 @@ def default_rho(graph: Graph) -> int:
 def rho_stepping(graph: Graph, source: int, rho: int | None = None) -> SSSPResult:
     """Run ρ-stepping SSSP from *source* (``rho=None`` → :func:`default_rho`)."""
     return RhoStepper().solve(graph, source, rho=rho)
+
+
+def _nearest(rho: int) -> Threshold:
+    """θ = the ρ-th smallest pending distance, ties included (all of
+    them when ρ or fewer are pending)."""
+    if rho < 1:
+        raise ValueError("rho must be >= 1")
+
+    def pick(bq: BucketQueue, t: np.ndarray) -> float | None:
+        seen, count = [], 0
+        for _, _, d in bq.scan(t):
+            seen.append(d)
+            count += len(d)
+            if count >= rho:
+                # later buckets lie above every distance seen so far
+                return float(np.partition(np.concatenate(seen), rho - 1)[rho - 1])
+        return INF if count else None
+
+    return Threshold(pick, reenter=False)
 
 
 class RhoStepper(Stepper):
@@ -76,24 +95,7 @@ class RhoStepper(Stepper):
         recorder=None,
     ) -> dict:
         rho = rho if rho is not None else default_rho(graph)
-        if rho < 1:
-            raise ValueError("rho must be >= 1")
-        check_kernel(kernel)
-        ws = workspace_for(graph)
-        indptr, indices, weights = graph.csr()
-        frontier = LazyFrontier(dist, active)
-        active[:] = False  # ownership transferred to the frontier
-        counters = new_counters()
-        while frontier:
-            counters["steps"] += 1
-            counters["phases"] += 1
-            batch = frontier.pop_nearest(rho)
-            improved, _ = relax_wave(
-                indptr, indices, weights, batch, dist, counters, workspace=ws, kernel=kernel,
-                recorder=recorder,
-            )
-            frontier.push(improved)
-        return counters
+        return self._relax_policy(graph, dist, active, _nearest(rho), kernel, recorder)
 
     def default_params(self, graph: Graph) -> dict:
         return {"rho": default_rho(graph)}

@@ -17,6 +17,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             BucketQueue(-1.0)
 
+    def test_rejects_nan_and_infinite_delta(self):
+        for delta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                BucketQueue(delta)
+
     def test_empty_pop(self):
         bq = BucketQueue(1.0)
         assert not bq
@@ -210,3 +215,82 @@ class TestBoundaryPlacement:
         ib, fb = b.pop_bucket(dist)
         assert ia == ib == 2
         assert fa.tolist() == fb.tolist() == [0, 1, 2]
+
+
+class TestThresholdExtraction:
+    """scan / pop_upto / settle: the extraction of the non-grid stepping
+    schedules (every pending key with ``d <= θ``)."""
+
+    def test_empty_queue_scans_and_pops_nothing(self):
+        bq = BucketQueue(1.0)
+        assert list(bq.scan(np.zeros(3))) == []
+        assert len(bq.pop_upto(np.zeros(3), np.inf)) == 0
+
+    def test_scan_peeks_lowest_bucket_first_without_consuming(self):
+        dist = np.array([5.0, 2.0, 9.0, 2.5])
+        bq = BucketQueue(1.0)
+        bq.push(_arr(0, 2), dist[[0, 2]])
+        bq.push(_arr(1, 3), dist[[1, 3]])
+        seen = [(lo, keys.tolist()) for lo, keys, _ in bq.scan(dist)]
+        assert seen == [(2.0, [1, 3]), (5.0, [0]), (9.0, [2])]
+        _, _, d = next(bq.scan(dist))
+        assert float(d.min()) == 2.0  # the pending minimum
+        assert sorted(bq.pop_upto(dist, np.inf).tolist()) == [0, 1, 2, 3]
+
+    def test_pop_upto_is_inclusive_and_refiles_the_rest(self):
+        dist = np.array([1.0, 2.0, 2.5, 3.0])
+        bq = BucketQueue(1.0)
+        bq.push(np.arange(4, dtype=np.int64), dist)
+        assert sorted(bq.pop_upto(dist, 2.0).tolist()) == [0, 1]
+        # 2.5 shared bucket 2 with the popped 2.0 and was refiled
+        assert sorted(bq.pop_upto(dist, np.inf).tolist()) == [2, 3]
+
+    def test_popped_key_stays_out_until_pushed_again(self):
+        dist = np.array([1.0, 2.0])
+        bq = BucketQueue(1.0)
+        bq.push(_arr(0, 1), dist)
+        assert sorted(bq.pop_upto(dist, 10.0).tolist()) == [0, 1]
+        assert len(bq.pop_upto(dist, 10.0)) == 0
+        dist[1] = 0.5  # an improvement is overwrite + push
+        bq.push(_arr(1), dist[[1]])
+        assert bq.pop_upto(dist, 10.0).tolist() == [1]
+
+    def test_duplicate_pushes_are_free(self):
+        dist = np.array([1.5, 2.0])
+        bq = BucketQueue(1.0)
+        for _ in range(3):
+            bq.push(_arr(0), dist[[0]])
+        assert bq.pop_upto(dist, np.inf).tolist() == [0]
+
+    def test_improvement_needs_no_decrease_key(self):
+        """The queue ranks by the live distances: the old hint of an
+        improved key is dropped, the new one serves."""
+        dist = np.array([5.0, 2.0, 9.0])
+        bq = BucketQueue(1.0)
+        bq.push(_arr(0, 2), dist[[0, 2]])
+        dist[2] = 1.0
+        bq.push(_arr(2), dist[[2]])
+        _, keys, d = next(bq.scan(dist))
+        assert (keys.tolist(), float(d.min())) == ([2], 1.0)
+        assert bq.pop_upto(dist, 1.0).tolist() == [2]
+        assert bq.pop_upto(dist, np.inf).tolist() == [0]
+
+    def test_settled_floor_drops_hints_at_or_below_it(self):
+        # key 0 was filed at 2.5, then re-relaxed inside a window ending
+        # at θ = 2.0; its hint shares a bucket with its new distance, so
+        # only the floor keeps it from being extracted again
+        dist = np.array([2.5, 2.8, 2.0])
+        bq = BucketQueue(4.0)
+        bq.push(_arr(0, 1, 2), dist)
+        dist[0] = 1.5
+        bq.settle(2.0)
+        _, _, d = next(bq.scan(dist))
+        assert float(d.min()) == 2.8  # θ itself (key 2) is settled too
+        assert bq.pop_upto(dist, np.inf).tolist() == [1]
+
+    def test_settled_floor_keeps_keys_above_it(self):
+        dist = np.array([2.0, 2.0 + 1e-12])
+        bq = BucketQueue(1.0)
+        bq.push(_arr(0, 1), dist)
+        bq.settle(2.0)
+        assert bq.pop_upto(dist, np.inf).tolist() == [1]

@@ -108,6 +108,21 @@ class TestBuildReport:
         assert "| superstep | posted | carried | applied | bytes | ms |" in md
 
 
+class TestSteppingSections:
+    @pytest.mark.parametrize("name", ["delta", "rho", "delta-star", "radius"])
+    def test_bucket_and_wave_sections(self, name):
+        """Every stepper runs the one bucket loop, so each recorded solve
+        reports its steps and waves, and the waves add up to the run."""
+        wl = workload_for("ci-ws")
+        rec = Recorder()
+        r = solve_with(name, wl.graph, wl.source, recorder=rec)
+        sections = {s.title: s for s in build_report(rec).sections}
+        assert "Bucket occupancy" in sections
+        waves = sections["Relaxation-wave density"].table
+        assert sum(int(row["relaxations"]) for row in waves) == r.relaxations
+        assert sum(int(row["waves"]) for row in waves) == r.phases
+
+
 class TestRenderers:
     def test_markdown_sections_and_tables(self):
         md = render_markdown(build_report(_synthetic_recorder(), title="T"))

@@ -147,6 +147,32 @@ class TestStepperParameters:
             assert np.array_equal(r.distances, oracle), f"k={k}"
 
 
+def _takes_delta():
+    g = gen.grid_2d(2, 2)
+    return [name for name in stepper_names() if "delta" in get_stepper(name).default_params(g)]
+
+
+class TestBadDeltaRejected:
+    """Every stepper with a Δ knob rejects a Δ outside ``0 < Δ < inf``.
+    A NaN Δ used to make ``delta-star`` and ``sharded`` spin forever
+    (every ``d <= NaN`` window pops nothing) and ``graphblas`` return
+    only its source."""
+
+    def test_the_delta_knob_set(self):
+        assert {"delta", "graphblas", "delta-star", "sharded"} <= set(_takes_delta())
+
+    @pytest.mark.parametrize("name", _takes_delta())
+    @pytest.mark.parametrize("delta", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("spelling", ["bare", "spec"])
+    def test_rejected(self, name, delta, spelling):
+        g = gen.grid_2d(4, 4)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            if spelling == "bare":
+                solve_with(name, g, 0, delta=float(delta))
+            else:
+                solve_with(f"{name}(delta={delta})", g, 0)
+
+
 class TestVertexRadii:
     def test_kth_smallest_out_weight(self):
         g = Graph.from_edges([0, 0, 0, 1], [1, 2, 3, 2], [3.0, 1.0, 2.0, 5.0], n=4)
